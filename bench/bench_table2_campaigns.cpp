@@ -28,11 +28,6 @@
 // registry off and on (best of 3 interleaved reps), verifies the searches
 // are bit-identical either way, and lands the relative overhead in
 // BENCH_metrics_overhead.json. Target: <= 2% on the hot path.
-// A VM-dispatch leg times every Table II campaign under the reference
-// interpreter and the pre-decoded direct-threaded engine (median of paired
-// per-rep CPU-time ratios, 5 interleaved reps), verifies the searches are
-// bit-identical, and lands the speedup plus superinstruction coverage in
-// BENCH_vm_dispatch.json. Target: >= 1.5x host-time speedup.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -781,110 +776,6 @@ int main(int argc, char** argv) {
               << format_double(100.0 * overhead, 2)
               << "% overhead, target <= 5%), results "
               << (identical ? "bit-identical" : "DIVERGED") << "\n";
-  }
-
-  // --- VM dispatch leg: interpreter vs pre-decoded direct-threaded engine.
-  // Each Table II campaign runs under the reference interpreter and the
-  // threaded (computed-goto, superinstruction-fused) engine, interleaved
-  // for 5 reps. Same estimator discipline as the metrics leg: serial legs,
-  // process CPU time, and the speedup is the *median of the paired per-rep
-  // ratios*. The searches must be bit-identical — the engines differ in
-  // host time only, never in anything the campaign measures.
-  {
-    bench::header("VM dispatch — interpreter vs direct-threaded engine");
-    constexpr int kReps = 5;
-    const auto cpu_now = []() {
-      struct timespec ts{};
-      ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-      return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
-    };
-    struct DispatchRow {
-      std::string model;
-      double interp_seconds = 0.0;    // fastest rep per engine
-      double threaded_seconds = 0.0;
-      double speedup = 0.0;           // median(interp_i / threaded_i)
-      double fused_covered_fraction = 0.0;  // instructions inside fused pairs
-      std::uint64_t instructions = 0;
-      bool identical = false;
-    };
-    std::vector<DispatchRow> rows;
-    std::cout << "running MPAS-A / ADCIRC / MOM6 under interp and threaded "
-              << "dispatch (" << kReps << " interleaved reps each, CPU time; "
-              << "threaded engine "
-              << (sim::Vm::threaded_available() ? "available" : "UNAVAILABLE — switch fallback")
-              << ")...\n";
-    for (const auto& spec : specs) {
-      DispatchRow row;
-      row.model = spec.name;
-      CampaignResult interp_result, threaded_result;
-      std::vector<double> ratios;
-      for (int rep = 0; rep < kReps; ++rep) {
-        CampaignOptions interp_opts;
-        interp_opts.vm_dispatch = sim::VmDispatch::kInterpret;
-        double t0 = cpu_now();
-        interp_result = bench::run_or_die(spec, interp_opts);
-        const double interp_cpu = cpu_now() - t0;
-        CampaignOptions threaded_opts;
-        threaded_opts.vm_dispatch = sim::VmDispatch::kThreaded;
-        t0 = cpu_now();
-        threaded_result = bench::run_or_die(spec, threaded_opts);
-        const double threaded_cpu = cpu_now() - t0;
-        if (rep == 0 || interp_cpu < row.interp_seconds) row.interp_seconds = interp_cpu;
-        if (rep == 0 || threaded_cpu < row.threaded_seconds) {
-          row.threaded_seconds = threaded_cpu;
-        }
-        if (threaded_cpu > 0.0) ratios.push_back(interp_cpu / threaded_cpu);
-      }
-      std::sort(ratios.begin(), ratios.end());
-      row.speedup = ratios.empty() ? 0.0 : ratios[ratios.size() / 2];
-      row.instructions = threaded_result.vm_exec.instructions;
-      row.fused_covered_fraction =
-          row.instructions > 0
-              ? static_cast<double>(threaded_result.vm_exec.fused_covered) /
-                    static_cast<double>(row.instructions)
-              : 0.0;
-      row.identical = same_search(interp_result.search, threaded_result.search);
-      rows.push_back(row);
-    }
-
-    double interp_total = 0.0, weighted = 0.0;
-    bool all_identical = true;
-    std::string json = "{\n  \"reps\": " + std::to_string(kReps) +
-                       ",\n  \"threaded_available\": " +
-                       (sim::Vm::threaded_available() ? "true" : "false") +
-                       ",\n  \"campaigns\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& r = rows[i];
-      interp_total += r.interp_seconds;
-      weighted += r.interp_seconds * r.speedup;
-      all_identical = all_identical && r.identical;
-      json += "    {\"model\": \"" + r.model + "\", \"interp_cpu_seconds\": " +
-              format_double(r.interp_seconds, 4) + ", \"threaded_cpu_seconds\": " +
-              format_double(r.threaded_seconds, 4) + ", \"speedup\": " +
-              format_double(r.speedup, 3) + ", \"instructions\": " +
-              std::to_string(r.instructions) + ", \"fused_covered_fraction\": " +
-              format_double(r.fused_covered_fraction, 4) +
-              ", \"identical_results\": " + (r.identical ? "true" : "false") + "}";
-      json += (i + 1 < rows.size()) ? ",\n" : "\n";
-      std::cout << "  " << pad_right(r.model, 10) << " interp "
-                << format_double(r.interp_seconds, 3) << " s -> threaded "
-                << format_double(r.threaded_seconds, 3) << " s ("
-                << format_double(r.speedup, 2) << "x, fusion covers "
-                << format_double(100.0 * r.fused_covered_fraction, 1)
-                << "% of instructions, results "
-                << (r.identical ? "identical" : "DIVERGED") << ")\n";
-    }
-    // Campaign-weighted mean of the per-model median-of-ratio speedups.
-    const double total_speedup = interp_total > 0.0 ? weighted / interp_total : 0.0;
-    json += "  ],\n  \"total_interp_cpu_seconds\": " +
-            format_double(interp_total, 4) +
-            ",\n  \"total_speedup\": " + format_double(total_speedup, 3) +
-            ",\n  \"speedup_target\": 1.5,\n  \"identical_results\": " +
-            (all_identical ? "true" : "false") + "\n}\n";
-    io.write_file("json", "BENCH_vm_dispatch.json", json);
-    std::cout << "  total speedup " << format_double(total_speedup, 2)
-              << "x (target >= 1.5x), results "
-              << (all_identical ? "bit-identical" : "DIVERGED") << "\n";
   }
 
   bench::header("Table II recap (shape checks)");

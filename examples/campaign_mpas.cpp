@@ -35,9 +35,9 @@
 //        --no-metrics (disable the observability registry; results are
 //                  bit-identical either way — this knob exists for the
 //                  overhead benchmark)
-//        --vm-dispatch MODE (VM execution engine: auto | interp | switch |
-//                  threaded; results are bit-identical for every mode —
-//                  this only changes host wall-clock time)
+//        --vm-dispatch MODE (VM dispatch loop: auto | switch | threaded;
+//                  results are bit-identical for every mode — this only
+//                  changes host wall-clock time)
 //        --metrics-out FILE (dump the final registry snapshot as Prometheus
 //                  text exposition)
 //        --metrics-footer (append the opt-in {"type":"metrics"} journal
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
     options.metrics_footer = flags->get_bool("metrics-footer", false);
     const std::string dispatch = flags->get_string("vm-dispatch", "auto");
     if (!tuner::vm_dispatch_from_string(dispatch, &options.vm_dispatch)) {
-      std::cerr << "--vm-dispatch must be auto, interp, switch, or threaded "
+      std::cerr << "--vm-dispatch must be auto | switch | threaded "
                 << "(got '" << dispatch << "')\n";
       return 2;
     }
@@ -289,10 +289,9 @@ int main(int argc, char** argv) {
     std::cerr << "campaign interrupted by signal — sinks flushed; "
               << "rerun with --resume to continue\n";
   }
-  // "vm|"-prefixed line, only when the engine was explicitly selected:
-  // fused-dispatch counts legitimately differ between engines (zero under
-  // the interpreter), and run counts differ under --resume/--server, so
-  // bit-identity diffs either never see this line or strip it by prefix.
+  // "vm|"-prefixed line, only when the dispatch was explicitly selected:
+  // run counts differ under --resume/--server, so bit-identity diffs either
+  // never see this line or strip it by prefix.
   if (flags.is_ok() && flags->has("vm-dispatch")) {
     std::cout << "vm| dispatch=" << tuner::to_string(options.vm_dispatch)
               << " runs=" << result->vm_exec.runs

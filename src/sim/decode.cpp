@@ -21,8 +21,8 @@ struct ProcRange {
   std::int32_t last = 0;
 };
 
-/// Op-mix class — must agree with vm.cpp's count_op() (the
-/// dispatch-equivalence suite compares OpMix field by field).
+/// Op-mix class of a bytecode op (see MixClass). Loop entries are counted
+/// separately by the kLoopBegin handlers, by vectorization verdict.
 std::uint8_t mix_class(Op op) {
   switch (op) {
     case Op::kAddF32: case Op::kSubF32: case Op::kMulF32: case Op::kDivF32:
@@ -290,9 +290,9 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
       d.op = plain_xop(in.op);
       d.mix = mix_class(in.op);
 
-      // The engines accumulate cost*scale into a local clock without the
-      // interpreter's per-instruction cost>0 test, which is only sound if
-      // every static cost is a finite non-negative number.
+      // The engines accumulate cost*scale into a local clock without a
+      // per-instruction cost>0 test, which is only sound if every static
+      // cost is a finite non-negative number.
       if (!(in.cost >= 0.0) || !std::isfinite(in.cost)) {
         return err(pc, "negative or non-finite cost");
       }
@@ -423,8 +423,8 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
           }
           break;
         case Op::kLoopBegin:
-          // The interpreter treats an out-of-range loop index as scalar;
-          // resolve the same verdict statically.
+          // An out-of-range loop index counts as a scalar loop; resolve
+          // the verdict statically.
           d.op = (in.aux >= 0 &&
                   static_cast<std::size_t>(in.aux) < program.loops.size() &&
                   program.loops[static_cast<std::size_t>(in.aux)].vectorized)

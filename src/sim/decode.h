@@ -1,15 +1,15 @@
 // One-time lowering of CompiledProgram bytecode into a flat, pre-validated,
-// dispatch-ready instruction stream (ROADMAP item 1, tier (a)).
+// dispatch-ready instruction stream — the only form the VM executes.
 //
-// decode() does three things the interpreter otherwise pays for on every
-// executed instruction:
+// decode() does three things once per program that would otherwise cost
+// work on every executed instruction:
 //   1. Verify: every operand slot, array slot, global index, jump target,
 //      call-site record, and writeback target is checked once, up front. A
 //      malformed program is rejected here with a diagnostic instead of
 //      crashing (or faulting) mid-run. The execution engines can therefore
 //      index everything unchecked.
-//   2. Resolve: polymorphic decisions the interpreter re-derives per
-//      execution are folded into the opcode or the decoded fields — the
+//   2. Resolve: polymorphic decisions the bytecode leaves to execution
+//      time are folded into the opcode or the decoded fields — the
 //      kind of a kStoreGlobal target, the vectorization verdict of a
 //      kLoopBegin, the op-mix class, the kCastInt rounding mode.
 //   3. Fuse: adjacent pairs that dominate the dynamic mix (loop-head
@@ -17,15 +17,16 @@
 //      cast/arith+store, load+arith) are rewritten into superinstructions
 //      that execute both components under a single dispatch. Fusion is
 //      structural only: the second component stays in place in the stream
-//      and both components keep their exact interpreter semantics and
+//      and both components keep their exact unfused semantics and
 //      accounting, so fused and unfused runs are bit-identical (including
 //      OpMix and the simulated clock).
 //
 // The decoded stream keeps a 1:1 index mapping with the bytecode (decoded
 // index == bytecode pc), so branch targets, return addresses, and fault pcs
-// need no translation. A fused pair occupies its original two positions; the
-// second position is provably unreachable by any jump (fusion requires the
-// second instruction not be a basic-block leader).
+// need no translation, and the shadow engine can hand the raw bytecode
+// instruction at the same index to Vm::shadow_step. A fused pair occupies its
+// original two positions; the second position is provably unreachable by any
+// jump (fusion requires the second instruction not be a basic-block leader).
 #pragma once
 
 #include <array>
@@ -187,8 +188,8 @@ enum FusedFamily : std::uint8_t {
 [[nodiscard]] const char* fused_family_name(std::uint8_t family);
 
 /// Op-mix class of a decoded instruction, precomputed so the hot loop does
-/// an array increment instead of re-classifying the opcode. Must match
-/// vm.cpp's count_op() exactly — the dispatch-equivalence suite pins this.
+/// an array increment instead of re-classifying the opcode. The one op-mix
+/// classifier; the goldens in tests/golden/ pin every OpMix field.
 enum MixClass : std::uint8_t {
   kMixFp32 = 0,
   kMixFp64,

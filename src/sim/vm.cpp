@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace prose::sim {
 
@@ -43,52 +42,6 @@ void ArrayStorage::enable_shadow() {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-/// Op-mix accounting for the flight recorder. Observability only — never
-/// feeds the cost model. Loop entries are classified at the kLoopBegin case
-/// (the vectorization verdict lives in the loop metadata, not the opcode).
-void count_op(Op op, OpMix& mix) {
-  switch (op) {
-    case Op::kAddF32: case Op::kSubF32: case Op::kMulF32: case Op::kDivF32:
-    case Op::kPowF32: case Op::kNegF32:
-      ++mix.fp32_arith;
-      break;
-    case Op::kAddF64: case Op::kSubF64: case Op::kMulF64: case Op::kDivF64:
-    case Op::kPowF64: case Op::kNegF64:
-      ++mix.fp64_arith;
-      break;
-    case Op::kAddFmt: case Op::kSubFmt: case Op::kMulFmt: case Op::kDivFmt:
-    case Op::kPowFmt: case Op::kNegFmt:
-      ++mix.fmt_arith;
-      break;
-    case Op::kCastFmt:
-      ++mix.casts;
-      break;
-    case Op::kAddI: case Op::kSubI: case Op::kMulI: case Op::kDivI:
-    case Op::kPowI: case Op::kNegI: case Op::kCastInt:
-      ++mix.int_arith;
-      break;
-    case Op::kCastF32: case Op::kCastF64:
-      ++mix.casts;
-      break;
-    case Op::kLoadElem: case Op::kStoreElem: case Op::kArrayFill:
-    case Op::kArrayCopy: case Op::kReduce:
-      ++mix.mem;
-      break;
-    case Op::kCall:
-      ++mix.calls;
-      break;
-    case Op::kJmp: case Op::kJmpIfFalse: case Op::kLoopCond:
-      ++mix.branches;
-      break;
-    case Op::kIntrin1: case Op::kIntrin2:
-      ++mix.intrinsics;
-      break;
-    default:
-      ++mix.other;
-      break;
-  }
-}
 
 /// Relative divergence of a primary value from its binary64 shadow. Bounded
 /// by 2 for finite pairs (a value flushed to zero scores exactly 1); +inf
@@ -423,17 +376,12 @@ RunResult Vm::call(const std::string& qualified_proc) {
     }
   }
 
-  // Resolve the engine up front: a decode failure (malformed program) must
-  // surface before any frame is pushed or any cycle is charged.
-  const VmDispatch mode = resolved_dispatch();
-  const DecodedProgram* decoded = nullptr;
-  if (mode != VmDispatch::kInterpret) {
-    auto d = ensure_decoded();
-    if (!d.is_ok()) {
-      result.status = d.status();
-      return result;
-    }
-    decoded = d.value();
+  // Decode up front: a decode failure (malformed program) must surface
+  // before any frame is pushed or any cycle is charged.
+  auto decoded = ensure_decoded();
+  if (!decoded.is_ok()) {
+    result.status = decoded.status();
+    return result;
   }
 
   run_start_cycles_ = clock_.now();
@@ -447,16 +395,12 @@ RunResult Vm::call(const std::string& qualified_proc) {
     result.status = pushed;
     return result;
   }
-  switch (mode) {
-    case VmDispatch::kThreaded:
-      result.status = vm_engine_threaded(this, decoded, nullptr);
-      break;
-    case VmDispatch::kSwitch:
-      result.status = vm_engine_switch(this, decoded);
-      break;
-    default:
-      result.status = run_loop();
-      break;
+  if (shadow_) {
+    result.status = vm_engine_shadow(this, decoded.value());
+  } else if (resolved_dispatch() == VmDispatch::kThreaded) {
+    result.status = vm_engine_threaded(this, decoded.value(), nullptr);
+  } else {
+    result.status = vm_engine_switch(this, decoded.value());
   }
   if (shadow_ && !result.status.is_ok()) note_shadow_fault(result.status);
   // Unwind any remaining frames on fault/timeout so the VM can be reused.
@@ -473,561 +417,6 @@ RunResult Vm::call(const std::string& qualified_proc) {
   result.op_mix = op_mix_;
   result.fused = fused_;
   return result;
-}
-
-Status Vm::run_loop() {
-  const std::vector<Instr>& code = program_->code;
-  std::int32_t pc = program_->procs[static_cast<std::size_t>(frames_.back().proc)].first_instr;
-  const bool trap = options_.trap_nonfinite;
-  const MachineModel& mach = program_->machine;
-
-  const auto check_finite_f = [&](float v) { return !trap || std::isfinite(v); };
-  const auto check_finite_d = [&](double v) { return !trap || std::isfinite(v); };
-
-  std::uint64_t since_budget_check = 0;
-
-  while (true) {
-    PROSE_CHECK(pc >= 0 && static_cast<std::size_t>(pc) < code.size());
-    const Instr& in = code[static_cast<std::size_t>(pc)];
-    Frame& frame = frames_.back();
-    const std::size_t base = frame.slot_base;
-    if (in.cost > 0.0) clock_.advance(in.cost * frame.scale);
-    ++instructions_;
-    count_op(in.op, op_mix_);
-
-    if (++since_budget_check >= 256) {
-      since_budget_check = 0;
-      if (clock_.now() - run_start_cycles_ > options_.cycle_budget) {
-        fault_pc_ = pc;
-        return Status(StatusCode::kTimeout, "cycle budget exceeded");
-      }
-      if (instructions_ > options_.max_instructions) {
-        fault_pc_ = pc;
-        return Status(StatusCode::kRuntimeFault, "instruction limit exceeded");
-      }
-    }
-
-    const auto S = [&](std::int32_t idx) -> double& {
-      return slots_[base + static_cast<std::size_t>(idx)];
-    };
-    const auto ARR = [&](std::int32_t idx) -> ArrayStorage* {
-      return frame.arrays[static_cast<std::size_t>(idx)];
-    };
-
-    switch (in.op) {
-      case Op::kNop:
-      case Op::kLoopEnd:
-        break;
-      case Op::kLoadConst:
-        S(in.dst) = in.imm;
-        break;
-      case Op::kMov:
-        S(in.dst) = S(in.a);
-        break;
-      case Op::kCastF32: {
-        const double x = S(in.a);
-        const auto v = static_cast<float>(x);
-        // Overflow in the narrowing conversion itself (finite f64 that has no
-        // finite f32 counterpart) is a runtime error, as with -ffpe-trap.
-        if (trap && std::isfinite(x) && !std::isfinite(v)) {
-          fault_pc_ = pc;
-          return fault("overflow converting to real(kind=4)");
-        }
-        S(in.dst) = static_cast<double>(v);
-        cast_cycles_ += in.cost * frame.scale;
-        break;
-      }
-      case Op::kCastF64:
-        S(in.dst) = S(in.a);
-        cast_cycles_ += in.cost * frame.scale;
-        break;
-      case Op::kCastInt: {
-        const double v = S(in.a);
-        double r = 0.0;
-        if (in.aux2 == 0) {
-          r = std::trunc(v);
-        } else if (in.aux2 == 1) {
-          r = std::floor(v);
-        } else {
-          r = std::round(v);
-        }
-        S(in.dst) = r;
-        break;
-      }
-      case Op::kLoadGlobal:
-        S(in.dst) = globals_[static_cast<std::size_t>(in.aux)];
-        break;
-      case Op::kStoreGlobal: {
-        double v = S(in.a);
-        const int gkind =
-            program_->global_scalars[static_cast<std::size_t>(in.aux)].kind;
-        if (gkind == 4) {
-          const auto narrowed = static_cast<float>(v);
-          if (trap && std::isfinite(v) && !std::isfinite(narrowed)) {
-            fault_pc_ = pc;
-            return fault("overflow storing to real(kind=4) module variable");
-          }
-          v = static_cast<double>(narrowed);
-        } else if (prec::is_custom_kind(gkind)) {
-          bool ovf = false;
-          const double q =
-              prec::quantize_checked(prec::decode_kind(gkind), v, &ovf);
-          if (trap && ovf) {
-            fault_pc_ = pc;
-            return fault("overflow storing to real(" + prec::kind_name(gkind) +
-                         ") module variable");
-          }
-          v = q;
-        }
-        globals_[static_cast<std::size_t>(in.aux)] = v;
-        break;
-      }
-
-#define PROSE_F32_BINOP(OPNAME, EXPR)                                    \
-  case Op::OPNAME: {                                                     \
-    const float x = static_cast<float>(S(in.a));                         \
-    const float y = static_cast<float>(S(in.b));                         \
-    const float r = (EXPR);                                              \
-    if (!check_finite_f(r)) {                                            \
-      fault_pc_ = pc;                                                    \
-      return fault("non-finite f32 result");                             \
-    }                                                                    \
-    S(in.dst) = static_cast<double>(r);                                  \
-    break;                                                               \
-  }
-#define PROSE_F64_BINOP(OPNAME, EXPR)                                    \
-  case Op::OPNAME: {                                                     \
-    const double x = S(in.a);                                            \
-    const double y = S(in.b);                                            \
-    const double r = (EXPR);                                             \
-    if (!check_finite_d(r)) {                                            \
-      fault_pc_ = pc;                                                    \
-      return fault("non-finite f64 result");                             \
-    }                                                                    \
-    S(in.dst) = r;                                                       \
-    break;                                                               \
-  }
-
-      PROSE_F32_BINOP(kAddF32, x + y)
-      PROSE_F32_BINOP(kSubF32, x - y)
-      PROSE_F32_BINOP(kMulF32, x * y)
-      PROSE_F32_BINOP(kDivF32, x / y)
-      PROSE_F32_BINOP(kPowF32, std::pow(x, y))
-      PROSE_F64_BINOP(kAddF64, x + y)
-      PROSE_F64_BINOP(kSubF64, x - y)
-      PROSE_F64_BINOP(kMulF64, x * y)
-      PROSE_F64_BINOP(kDivF64, x / y)
-      PROSE_F64_BINOP(kPowF64, std::pow(x, y))
-#undef PROSE_F32_BINOP
-#undef PROSE_F64_BINOP
-
-// Parameterized-format arithmetic: compute in binary64, quantize the result
-// (see prec/format.h for why the double rounding is innocuous). A finite
-// binary64 result that leaves the format's finite range is a directed
-// overflow fault, mirroring the kCastF32 narrowing trap.
-#define PROSE_FMT_BINOP(OPNAME, EXPR)                                    \
-  case Op::OPNAME: {                                                     \
-    const double x = S(in.a);                                            \
-    const double y = S(in.b);                                            \
-    bool ovf = false;                                                    \
-    const double r =                                                     \
-        prec::quantize_checked(prec::decode_kind(in.kind), (EXPR), &ovf); \
-    if (trap && ovf) {                                                   \
-      fault_pc_ = pc;                                                    \
-      return fault("overflow in " + prec::kind_name(in.kind) +           \
-                   " arithmetic");                                       \
-    }                                                                    \
-    if (!check_finite_d(r)) {                                            \
-      fault_pc_ = pc;                                                    \
-      return fault("non-finite " + prec::kind_name(in.kind) + " result"); \
-    }                                                                    \
-    S(in.dst) = r;                                                       \
-    break;                                                               \
-  }
-
-      PROSE_FMT_BINOP(kAddFmt, x + y)
-      PROSE_FMT_BINOP(kSubFmt, x - y)
-      PROSE_FMT_BINOP(kMulFmt, x * y)
-      PROSE_FMT_BINOP(kDivFmt, x / y)
-      PROSE_FMT_BINOP(kPowFmt, std::pow(x, y))
-#undef PROSE_FMT_BINOP
-
-      case Op::kNegFmt:
-        S(in.dst) = prec::quantize_kind(in.kind, -S(in.a));
-        break;
-      case Op::kCastFmt: {
-        const double x = S(in.a);
-        bool ovf = false;
-        const double v =
-            prec::quantize_checked(prec::decode_kind(in.kind), x, &ovf);
-        if (trap && ovf) {
-          fault_pc_ = pc;
-          return fault("overflow converting to real(" +
-                       prec::kind_name(in.kind) + ")");
-        }
-        S(in.dst) = v;
-        cast_cycles_ += in.cost * frame.scale;
-        break;
-      }
-
-      case Op::kAddI: S(in.dst) = S(in.a) + S(in.b); break;
-      case Op::kSubI: S(in.dst) = S(in.a) - S(in.b); break;
-      case Op::kMulI: S(in.dst) = S(in.a) * S(in.b); break;
-      case Op::kDivI: {
-        const double b = S(in.b);
-        if (b == 0.0) {
-          fault_pc_ = pc;
-          return fault("integer division by zero");
-        }
-        S(in.dst) = std::trunc(S(in.a) / b);
-        break;
-      }
-      case Op::kPowI: {
-        const double r = std::pow(S(in.a), S(in.b));
-        S(in.dst) = std::trunc(r);
-        break;
-      }
-      case Op::kNegF32:
-        S(in.dst) = static_cast<double>(-static_cast<float>(S(in.a)));
-        break;
-      case Op::kNegF64:
-        S(in.dst) = -S(in.a);
-        break;
-      case Op::kNegI:
-        S(in.dst) = -S(in.a);
-        break;
-
-      case Op::kCmpEq: S(in.dst) = S(in.a) == S(in.b) ? 1.0 : 0.0; break;
-      case Op::kCmpNe: S(in.dst) = S(in.a) != S(in.b) ? 1.0 : 0.0; break;
-      case Op::kCmpLt: S(in.dst) = S(in.a) < S(in.b) ? 1.0 : 0.0; break;
-      case Op::kCmpLe: S(in.dst) = S(in.a) <= S(in.b) ? 1.0 : 0.0; break;
-      case Op::kCmpGt: S(in.dst) = S(in.a) > S(in.b) ? 1.0 : 0.0; break;
-      case Op::kCmpGe: S(in.dst) = S(in.a) >= S(in.b) ? 1.0 : 0.0; break;
-
-      case Op::kAnd: S(in.dst) = (S(in.a) != 0.0 && S(in.b) != 0.0) ? 1.0 : 0.0; break;
-      case Op::kOr: S(in.dst) = (S(in.a) != 0.0 || S(in.b) != 0.0) ? 1.0 : 0.0; break;
-      case Op::kNot: S(in.dst) = S(in.a) == 0.0 ? 1.0 : 0.0; break;
-      case Op::kEqv: S(in.dst) = ((S(in.a) != 0.0) == (S(in.b) != 0.0)) ? 1.0 : 0.0; break;
-      case Op::kNeqv: S(in.dst) = ((S(in.a) != 0.0) != (S(in.b) != 0.0)) ? 1.0 : 0.0; break;
-
-      case Op::kIntrin1: {
-        const auto intr = static_cast<Intrinsic>(in.aux);
-        const bool f32 = in.kind == 4;
-        double r = 0.0;
-        const double x = S(in.a);
-        switch (intr) {
-          case Intrinsic::kAbs: r = std::abs(x); break;
-          case Intrinsic::kSqrt:
-            r = f32 ? static_cast<double>(std::sqrt(static_cast<float>(x))) : std::sqrt(x);
-            break;
-          case Intrinsic::kExp:
-            r = f32 ? static_cast<double>(std::exp(static_cast<float>(x))) : std::exp(x);
-            break;
-          case Intrinsic::kLog:
-            r = f32 ? static_cast<double>(std::log(static_cast<float>(x))) : std::log(x);
-            break;
-          case Intrinsic::kSin:
-            r = f32 ? static_cast<double>(std::sin(static_cast<float>(x))) : std::sin(x);
-            break;
-          case Intrinsic::kCos:
-            r = f32 ? static_cast<double>(std::cos(static_cast<float>(x))) : std::cos(x);
-            break;
-          case Intrinsic::kTan:
-            r = f32 ? static_cast<double>(std::tan(static_cast<float>(x))) : std::tan(x);
-            break;
-          case Intrinsic::kAtan:
-            r = f32 ? static_cast<double>(std::atan(static_cast<float>(x))) : std::atan(x);
-            break;
-          default:
-            fault_pc_ = pc;
-            return fault("unknown unary intrinsic");
-        }
-        if (prec::is_custom_kind(in.kind)) r = prec::quantize_kind(in.kind, r);
-        if (!check_finite_d(r)) {
-          fault_pc_ = pc;
-          return fault("non-finite intrinsic result");
-        }
-        S(in.dst) = r;
-        break;
-      }
-      case Op::kIntrin2: {
-        const auto intr = static_cast<Intrinsic>(in.aux);
-        const bool f32 = in.kind == 4;
-        const double x = S(in.a);
-        const double y = S(in.b);
-        double r = 0.0;
-        switch (intr) {
-          case Intrinsic::kMin: r = std::min(x, y); break;
-          case Intrinsic::kMax: r = std::max(x, y); break;
-          case Intrinsic::kMod:
-            r = f32 ? static_cast<double>(
-                          std::fmod(static_cast<float>(x), static_cast<float>(y)))
-                    : std::fmod(x, y);
-            break;
-          case Intrinsic::kSign:
-            r = y >= 0.0 ? std::abs(x) : -std::abs(x);
-            break;
-          case Intrinsic::kAtan2:
-            r = f32 ? static_cast<double>(
-                          std::atan2(static_cast<float>(x), static_cast<float>(y)))
-                    : std::atan2(x, y);
-            break;
-          default:
-            fault_pc_ = pc;
-            return fault("unknown binary intrinsic");
-        }
-        if (prec::is_custom_kind(in.kind)) r = prec::quantize_kind(in.kind, r);
-        if (!check_finite_d(r)) {
-          fault_pc_ = pc;
-          return fault("non-finite intrinsic result");
-        }
-        S(in.dst) = r;
-        break;
-      }
-
-      case Op::kLoadElem: {
-        ArrayStorage* arr = ARR(in.aux);
-        const auto idx = [&](std::int32_t s) -> std::int64_t {
-          return s < 0 ? 1 : static_cast<std::int64_t>(S(s));
-        };
-        const std::int64_t linear = arr->linearize(idx(in.a), idx(in.b), idx(in.c));
-        if (linear < 0) {
-          fault_pc_ = pc;
-          return fault("array subscript out of bounds (read)");
-        }
-        S(in.dst) = arr->get(linear);
-        break;
-      }
-      case Op::kStoreElem: {
-        ArrayStorage* arr = ARR(in.aux);
-        const auto idx = [&](std::int32_t s) -> std::int64_t {
-          return s < 0 ? 1 : static_cast<std::int64_t>(S(s));
-        };
-        const std::int64_t linear = arr->linearize(idx(in.a), idx(in.b), idx(in.c));
-        if (linear < 0) {
-          fault_pc_ = pc;
-          return fault("array subscript out of bounds (write)");
-        }
-        const double v = S(in.dst);
-        if (!check_finite_d(v)) {
-          fault_pc_ = pc;
-          return fault("storing non-finite value");
-        }
-        if (arr->kind() == 4 && trap && !std::isfinite(static_cast<float>(v))) {
-          fault_pc_ = pc;
-          return fault("overflow storing to real(kind=4) array");
-        }
-        if (trap && prec::is_custom_kind(arr->kind())) {
-          bool ovf = false;
-          (void)prec::quantize_checked(prec::decode_kind(arr->kind()), v, &ovf);
-          if (ovf) {
-            fault_pc_ = pc;
-            return fault("overflow storing to real(" +
-                         prec::kind_name(arr->kind()) + ") array");
-          }
-        }
-        arr->set(linear, v);
-        break;
-      }
-      case Op::kArrayFill: {
-        ArrayStorage* arr = ARR(in.aux);
-        const double v = S(in.a);
-        for (std::int64_t i = 0; i < arr->total(); ++i) arr->set(i, v);
-        const double bytes = mach.bytes_for_kind(arr->kind());
-        clock_.advance(static_cast<double>(arr->total()) *
-                       (bytes * mach.mem_cost_per_byte + 0.1));
-        break;
-      }
-      case Op::kArrayCopy: {
-        ArrayStorage* dst = ARR(in.aux);
-        ArrayStorage* src = ARR(in.aux2);
-        if (dst->total() != src->total()) {
-          fault_pc_ = pc;
-          return fault("array shape mismatch in copy");
-        }
-        const bool narrowing = dst->kind() == 4 && src->kind() == 8;
-        const bool custom_dst =
-            prec::is_custom_kind(dst->kind()) && dst->kind() != src->kind();
-        const prec::FormatSpec dspec =
-            custom_dst ? prec::decode_kind(dst->kind()) : prec::FormatSpec{};
-        for (std::int64_t i = 0; i < src->total(); ++i) {
-          const double v = src->get(i);
-          if (narrowing && trap && std::isfinite(v) &&
-              !std::isfinite(static_cast<float>(v))) {
-            fault_pc_ = pc;
-            return fault("overflow converting array to real(kind=4)");
-          }
-          if (custom_dst && trap) {
-            bool ovf = false;
-            (void)prec::quantize_checked(dspec, v, &ovf);
-            if (ovf) {
-              fault_pc_ = pc;
-              return fault("overflow converting array to real(" +
-                           prec::kind_name(dst->kind()) + ")");
-            }
-          }
-          dst->set(i, v);
-        }
-        const double bytes =
-            mach.bytes_for_kind(dst->kind()) + mach.bytes_for_kind(src->kind());
-        double per_elem = bytes * mach.mem_cost_per_byte + 0.25;
-        double cast_part = 0.0;
-        if (dst->kind() != src->kind()) {
-          cast_part = 0.5;  // convert per element on top of the traffic
-          per_elem += cast_part;
-          cast_cycles_ += static_cast<double>(src->total()) *
-                          (cast_part + bytes * mach.mem_cost_per_byte * 0.5);
-        }
-        clock_.advance(static_cast<double>(src->total()) * per_elem);
-        break;
-      }
-      case Op::kReduce: {
-        ArrayStorage* arr = ARR(in.aux);
-        double r = 0.0;
-        if (arr->kind() == 4) {
-          float acc = in.aux2 == 0 ? 0.0f
-                                   : static_cast<float>(arr->get(0));
-          for (std::int64_t i = 0; i < arr->total(); ++i) {
-            const auto v = static_cast<float>(arr->get(i));
-            if (in.aux2 == 0) {
-              acc += v;
-            } else if (in.aux2 == 1) {
-              acc = std::min(acc, v);
-            } else {
-              acc = std::max(acc, v);
-            }
-          }
-          r = static_cast<double>(acc);
-        } else if (prec::is_custom_kind(arr->kind())) {
-          // Sum accumulates in the array's own format (each partial sum is
-          // quantized); min/max of representable values are exact.
-          const prec::FormatSpec spec = prec::decode_kind(arr->kind());
-          double acc = in.aux2 == 0 ? 0.0 : arr->get(0);
-          for (std::int64_t i = 0; i < arr->total(); ++i) {
-            const double v = arr->get(i);
-            if (in.aux2 == 0) {
-              acc = prec::quantize(spec, acc + v);
-            } else if (in.aux2 == 1) {
-              acc = std::min(acc, v);
-            } else {
-              acc = std::max(acc, v);
-            }
-          }
-          r = acc;
-        } else {
-          double acc = in.aux2 == 0 ? 0.0 : arr->get(0);
-          for (std::int64_t i = 0; i < arr->total(); ++i) {
-            const double v = arr->get(i);
-            if (in.aux2 == 0) {
-              acc += v;
-            } else if (in.aux2 == 1) {
-              acc = std::min(acc, v);
-            } else {
-              acc = std::max(acc, v);
-            }
-          }
-          r = acc;
-        }
-        if (!check_finite_d(r)) {
-          fault_pc_ = pc;
-          return fault("non-finite reduction result");
-        }
-        S(in.dst) = r;
-        const double lanes = static_cast<double>(mach.lanes_for_kind(arr->kind()));
-        const double bytes = mach.bytes_for_kind(arr->kind());
-        clock_.advance(static_cast<double>(arr->total()) *
-                       (bytes * mach.mem_cost_per_byte + mach.cost_add / lanes));
-        break;
-      }
-      case Op::kArraySize: {
-        const ArrayStorage* arr = ARR(in.aux);
-        S(in.dst) = in.aux2 == 0 ? static_cast<double>(arr->total())
-                                 : static_cast<double>(arr->extent(in.aux2 - 1));
-        break;
-      }
-      case Op::kAllReduce:
-        S(in.dst) = S(in.a);  // single simulated process owns the domain
-        break;
-
-      case Op::kJmp:
-        pc = in.aux;
-        continue;
-      case Op::kJmpIfFalse:
-        // Control flow always follows the primary values; the shadow hook
-        // only counts branches the binary64 run would have taken differently.
-        if (shadow_) shadow_branch(in, frame);
-        if (S(in.a) == 0.0) {
-          pc = in.aux;
-          continue;
-        }
-        break;
-      case Op::kLoopCond: {
-        const double i = S(in.a);
-        const double hi = S(in.b);
-        const double step = S(in.c);
-        S(in.dst) = (step > 0.0 ? i <= hi : i >= hi) ? 1.0 : 0.0;
-        break;
-      }
-      case Op::kLoopBegin:
-        if (in.aux >= 0 &&
-            static_cast<std::size_t>(in.aux) < program_->loops.size() &&
-            program_->loops[static_cast<std::size_t>(in.aux)].vectorized) {
-          ++op_mix_.vector_loop_entries;
-        } else {
-          ++op_mix_.scalar_loop_entries;
-        }
-        break;
-
-      case Op::kAllocArray: {
-        const ProcMeta& meta = program_->procs[static_cast<std::size_t>(frame.proc)];
-        const ArraySlotMeta& a = meta.arrays[static_cast<std::size_t>(in.aux)];
-        std::int64_t extents[3] = {1, 1, 1};
-        for (int r = 0; r < a.rank; ++r) {
-          if (a.extents[r] == -2) {
-            extents[r] = static_cast<std::int64_t>(
-                S(a.extent_slots[r]));
-          } else {
-            extents[r] = a.extents[r];
-          }
-          if (extents[r] <= 0) {
-            fault_pc_ = pc;
-            return fault("non-positive automatic array extent");
-          }
-        }
-        frame.owned.push_back(std::make_unique<ArrayStorage>(a.kind, a.rank, extents));
-        frame.arrays[static_cast<std::size_t>(in.aux)] = frame.owned.back().get();
-        break;
-      }
-
-      case Op::kCall: {
-        if (Status s = push_frame(in.aux, in.aux2, pc + 1); !s.is_ok()) return s;
-        pc = program_->procs[static_cast<std::size_t>(in.aux)].first_instr;
-        continue;
-      }
-      case Op::kRet: {
-        std::int32_t ret = -1;
-        if (Status s = pop_frame(ret); !s.is_ok()) return s;
-        if (frames_.empty()) return Status::ok();
-        pc = ret;
-        continue;
-      }
-      case Op::kPrint: {
-        const PrintMeta& meta = program_->prints[static_cast<std::size_t>(in.aux2)];
-        print_log_ += meta.text;
-        char buf[40];
-        for (const auto s : meta.arg_slots) {
-          std::snprintf(buf, sizeof buf, " %.9g", S(s));
-          print_log_ += buf;
-        }
-        print_log_ += '\n';
-        break;
-      }
-      case Op::kHalt:
-        return Status::ok();
-    }
-    if (shadow_) shadow_step(in, frame, pc);
-    ++pc;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -30,19 +30,15 @@ namespace prose::sim {
 
 struct DecodedProgram;  // decode.h
 
-/// Execution engine selection. All engines are bit-identical in outcomes,
-/// error metrics, cycle/cast accounting, OpMix, and the print log — the
-/// dispatch-equivalence suite enforces it. They differ only in host speed:
-///   * kInterpret — the reference switch interpreter over raw bytecode
-///     (vm.cpp). Always available; the only engine that supports shadow
-///     execution, so VmOptions::shadow forces it.
-///   * kSwitch    — pre-decoded stream (decode.h) run by a portable
-///     switch-dispatch loop.
-///   * kThreaded  — pre-decoded stream run by a direct-threaded
-///     computed-goto loop (GCC/Clang). Falls back to kSwitch when the
-///     build has no computed-goto support.
-///   * kAuto      — the build-configured default (PROSE_VM_DISPATCH).
-enum class VmDispatch : std::uint8_t { kAuto, kInterpret, kSwitch, kThreaded };
+/// Dispatch mechanism for the VM's one engine, which runs the pre-decoded
+/// stream (decode.h). Both mechanisms are bit-identical in outcomes, error
+/// metrics, cycle/cast accounting, OpMix, and the print log — the goldens in
+/// tests/golden/ pin them. They differ only in host speed:
+///   * kSwitch   — a portable switch-dispatch loop.
+///   * kThreaded — a direct-threaded computed-goto loop (GCC/Clang). Falls
+///     back to kSwitch when the build has no computed-goto support.
+///   * kAuto     — the build-configured default (PROSE_VM_DISPATCH).
+enum class VmDispatch : std::uint8_t { kAuto, kSwitch, kThreaded };
 
 /// Dynamic superinstruction dispatch counts for one call() — how many fused
 /// pairs each family executed. Observability only (the vm/fused/* counters
@@ -79,8 +75,8 @@ struct VmOptions {
   /// mixed-precision primary values, and record divergence provenance
   /// (see ShadowReport). Hard invariant: shadow bookkeeping never perturbs
   /// simulated cycles, outcomes, or the OpMix — it is pure observability.
-  /// Shadow execution always runs on the reference interpreter regardless
-  /// of `dispatch`.
+  /// A shadow Vm runs the switch loop with shadow hooks on an unfused stream
+  /// it decodes itself, regardless of `dispatch`, `fuse`, and `decoded`.
   bool shadow = false;
   /// Execution engine (see VmDispatch). kAuto resolves to the build default.
   VmDispatch dispatch = VmDispatch::kAuto;
@@ -90,7 +86,7 @@ struct VmOptions {
   bool fuse = true;
   /// Pre-decoded instruction stream to reuse (must come from decode() of
   /// this Vm's exact program — the evaluator's per-variant decoded cache).
-  /// Null = decode lazily on the first non-interpreted call().
+  /// Null = decode lazily on the first call().
   std::shared_ptr<const DecodedProgram> decoded;
 };
 
@@ -134,9 +130,9 @@ struct RunResult {
   std::uint64_t instructions = 0;
   double cast_cycles = 0.0;       // cycles spent on kind conversions
   OpMix op_mix;
-  /// Superinstruction dispatches (all-zero under the interpreter and under
-  /// fuse=false). Deliberately outside OpMix: fusion must not change the
-  /// op-mix a run reports.
+  /// Superinstruction dispatches (all-zero under fuse=false and under
+  /// shadow). Deliberately outside OpMix: fusion must not change the op-mix
+  /// a run reports.
   FusedStats fused;
 };
 
@@ -147,6 +143,8 @@ struct RunResult {
 struct ShadowVarStats {
   double max_rel_div = 0.0;   // max divergence observed at writes
   std::uint64_t writes = 0;   // writes recorded against this variable
+
+  friend bool operator==(const ShadowVarStats&, const ShadowVarStats&) = default;
 };
 
 /// Per-procedure shadow statistics. "Introduced" divergence is per-op
@@ -161,6 +159,8 @@ struct ShadowProcStats {
   std::uint64_t control_divergences = 0; // branches the shadow run would take differently
   double cast_cycles = 0.0;              // simulated cast cycles spent in this proc
   bool faulted = false;                  // the run faulted/timed out here
+
+  friend bool operator==(const ShadowProcStats&, const ShadowProcStats&) = default;
 };
 
 /// Everything the shadow execution learned about one call().
@@ -179,6 +179,8 @@ struct ShadowReport {
   std::string fault_proc;
   std::map<std::string, ShadowVarStats> vars;    // qualified variable name
   std::map<std::string, ShadowProcStats> procs;  // qualified procedure name
+
+  friend bool operator==(const ShadowReport&, const ShadowReport&) = default;
 };
 
 /// Dense multi-dimensional array storage (column-major, 1-based like Fortran).
@@ -255,6 +257,7 @@ class Vm;
 /// functions rather than members so the threaded engine can export its
 /// handler-label table without an instance (vm == nullptr, table_out set).
 Status vm_engine_switch(Vm* vm, const DecodedProgram* decoded);
+Status vm_engine_shadow(Vm* vm, const DecodedProgram* decoded);
 Status vm_engine_threaded(Vm* vm, const DecodedProgram* decoded,
                           const void* const** table_out);
 
@@ -266,8 +269,8 @@ class Vm {
   [[nodiscard]] static bool threaded_available();
   /// What VmDispatch::kAuto resolves to in this build (PROSE_VM_DISPATCH).
   [[nodiscard]] static VmDispatch default_dispatch();
-  /// The engine call() will actually use, after resolving kAuto, the
-  /// threaded→switch fallback, and the shadow-forces-interpreter rule.
+  /// The dispatch call() will actually use, after resolving kAuto and the
+  /// threaded→switch fallback (a shadow Vm always runs the switch loop).
   [[nodiscard]] VmDispatch resolved_dispatch() const;
 
   /// Re-initializes all module storage (zeros + declared initializers).
@@ -317,14 +320,15 @@ class Vm {
   Status pop_frame(std::int32_t& pc);
 
   [[nodiscard]] Status fault(const std::string& message) const;
-  Status run_loop();
 
   friend Status vm_engine_switch(Vm* vm, const DecodedProgram* decoded);
+  friend Status vm_engine_shadow(Vm* vm, const DecodedProgram* decoded);
   friend Status vm_engine_threaded(Vm* vm, const DecodedProgram* decoded,
                                    const void* const** table_out);
 
-  /// Returns the decoded stream for program_ (options_.decoded if supplied,
-  /// else decoded once and cached), or the decode failure.
+  /// Returns the decoded stream for program_ (options_.decoded if supplied
+  /// and this Vm is not shadowing, else decoded once and cached), or the
+  /// decode failure.
   StatusOr<const DecodedProgram*> ensure_decoded();
 
   // --- shadow execution (all no-ops unless options_.shadow) ---

@@ -1,9 +1,10 @@
 // Decoded-stream execution engines and dispatch-policy plumbing.
 //
-// vm_engine.inc holds the single shared engine body; it is included twice
-// below — once as a portable switch loop, once (when the compiler supports
-// labels-as-values) as a direct-threaded computed-goto loop. See decode.h
-// for the decoded instruction format and DESIGN.md §13 for the design.
+// vm_engine.inc holds the single shared engine body; it is included three
+// times below — as a portable switch loop, as a direct-threaded
+// computed-goto loop (when the compiler supports labels-as-values), and as
+// the switch loop with shadow-precision hooks. See decode.h for the decoded
+// instruction format and DESIGN.md §13 for the design.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -31,20 +32,31 @@ using ftn::Intrinsic;
 // ---------------------------------------------------------------------------
 // Engine instantiations.
 
-
+#define VM_SHADOW 0
 #define VM_USE_CGOTO 0
 #define VM_ENGINE_NAME vm_engine_switch
 #include "sim/vm_engine.inc"  // NOLINT(bugprone-suspicious-include)
 #undef VM_ENGINE_NAME
 #undef VM_USE_CGOTO
+#undef VM_SHADOW
+
+#define VM_SHADOW 1
+#define VM_USE_CGOTO 0
+#define VM_ENGINE_NAME vm_engine_shadow
+#include "sim/vm_engine.inc"  // NOLINT(bugprone-suspicious-include)
+#undef VM_ENGINE_NAME
+#undef VM_USE_CGOTO
+#undef VM_SHADOW
 
 #if PROSE_HAS_COMPUTED_GOTO
 
+#define VM_SHADOW 0
 #define VM_USE_CGOTO 1
 #define VM_ENGINE_NAME vm_engine_threaded
 #include "sim/vm_engine.inc"  // NOLINT(bugprone-suspicious-include)
 #undef VM_ENGINE_NAME
 #undef VM_USE_CGOTO
+#undef VM_SHADOW
 
 #else  // !PROSE_HAS_COMPUTED_GOTO
 
@@ -86,7 +98,7 @@ VmDispatch Vm::default_dispatch() {
 }
 
 VmDispatch Vm::resolved_dispatch() const {
-  if (options_.shadow) return VmDispatch::kInterpret;  // shadow needs raw bytecode hooks
+  if (shadow_) return VmDispatch::kSwitch;  // the shadow engine is a switch loop
   VmDispatch d = options_.dispatch;
   if (d == VmDispatch::kAuto) d = default_dispatch();
   if (d == VmDispatch::kThreaded && !threaded_available()) d = VmDispatch::kSwitch;
@@ -94,10 +106,12 @@ VmDispatch Vm::resolved_dispatch() const {
 }
 
 StatusOr<const DecodedProgram*> Vm::ensure_decoded() {
-  if (options_.decoded != nullptr) return options_.decoded.get();
+  // A shadow Vm hooks every bytecode instruction, so it never runs a
+  // supplied (possibly fused) stream: it decodes its own, unfused.
+  if (options_.decoded != nullptr && !shadow_) return options_.decoded.get();
   if (!decode_attempted_) {
     decode_attempted_ = true;
-    auto d = decode(*program_, DecodeOptions{.fuse = options_.fuse});
+    auto d = decode(*program_, DecodeOptions{.fuse = options_.fuse && !shadow_});
     if (d.is_ok()) {
       decoded_local_ = std::move(d).value();
     } else {

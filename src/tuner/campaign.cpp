@@ -35,8 +35,6 @@ bool rejected_variant(const Evaluation& e) {
 bool vm_dispatch_from_string(std::string_view s, sim::VmDispatch* out) {
   if (s == "auto") {
     *out = sim::VmDispatch::kAuto;
-  } else if (s == "interp" || s == "interpret") {
-    *out = sim::VmDispatch::kInterpret;
   } else if (s == "switch") {
     *out = sim::VmDispatch::kSwitch;
   } else if (s == "threaded") {
@@ -50,7 +48,6 @@ bool vm_dispatch_from_string(std::string_view s, sim::VmDispatch* out) {
 const char* to_string(sim::VmDispatch dispatch) {
   switch (dispatch) {
     case sim::VmDispatch::kAuto: return "auto";
-    case sim::VmDispatch::kInterpret: return "interp";
     case sim::VmDispatch::kSwitch: return "switch";
     case sim::VmDispatch::kThreaded: return "threaded";
   }

@@ -90,11 +90,11 @@ struct CampaignOptions {
   /// informational, so resume is exact either way.
   bool metrics_footer = false;
 
-  /// VM execution engine for variant runs (the --vm-dispatch knob). All
-  /// engines produce bit-identical campaigns — summaries, journals, blame
-  /// reports — so this only changes host wall-clock time. kAuto = the
-  /// build's default (direct-threaded where the compiler supports it).
-  /// Shadow diagnosis always runs on the reference interpreter.
+  /// VM dispatch for variant runs (the --vm-dispatch knob). Switch and
+  /// threaded dispatch produce bit-identical campaigns — summaries,
+  /// journals, blame reports — so this only changes host wall-clock time.
+  /// kAuto = the build's default (direct-threaded where the compiler
+  /// supports it). Shadow diagnosis always runs the shadow switch loop.
   sim::VmDispatch vm_dispatch = sim::VmDispatch::kAuto;
 
   /// Numerical flight recorder: after the search finishes, re-run the
@@ -228,13 +228,13 @@ struct CampaignResult {
   /// Cumulative VM execution statistics (instructions executed, fused-pair
   /// dispatches) across the campaign's local variant runs. Host-side
   /// observability — deliberately outside CampaignSummary: the fused counts
-  /// legitimately differ between engines (zero under the interpreter), while
-  /// the summary must stay engine-independent.
+  /// are zero under fuse=false, while the summary must stay
+  /// fusion-independent.
   Evaluator::VmExecStats vm_exec;
 };
 
-/// Parses a --vm-dispatch value ("auto", "interp", "switch", "threaded").
-/// Returns false on anything else.
+/// Parses a --vm-dispatch value ("auto", "switch", "threaded"). Returns
+/// false on anything else.
 bool vm_dispatch_from_string(std::string_view s, sim::VmDispatch* out);
 const char* to_string(sim::VmDispatch dispatch);
 

@@ -47,9 +47,9 @@ void emit_run_counters(trace::Tracer& tr, trace::Track track,
   tr.counter("vm/scalar-loop-entries", track, ts,
              static_cast<double>(m.scalar_loop_entries));
   // Superinstruction dispatch counters. Emitted unconditionally (all-zero
-  // under the interpreter and under fuse=false) so a trace's counter set —
-  // and therefore its byte stream — does not depend on which decoded engine
-  // ran: threaded and switch traces stay bit-identical.
+  // under fuse=false) so a trace's counter set — and therefore its byte
+  // stream — does not depend on the dispatch: threaded and switch traces
+  // stay bit-identical.
   const sim::FusedStats& f = run.fused;
   tr.counter("vm/fused/pairs", track, ts, static_cast<double>(f.pairs()));
   tr.counter("vm/fused/covered", track, ts, static_cast<double>(f.covered()));
@@ -800,11 +800,9 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   sim::VmOptions vopts;
   if (!is_baseline && cycle_budget_ > 0.0) vopts.cycle_budget = cycle_budget_;
   vopts.dispatch = vm_dispatch_;
-  if (vm_dispatch_ != sim::VmDispatch::kInterpret) {
-    // Decoded engines: reuse the pre-decoded stream across attempts of the
-    // same variant (decode-once amortization; compile is deterministic).
-    vopts.decoded = decoded_for(config.key(), compiled.value());
-  }
+  // Reuse the pre-decoded stream across attempts of the same variant
+  // (decode-once amortization; compile is deterministic).
+  vopts.decoded = decoded_for(config.key(), compiled.value());
   sim::Vm vm(&compiled.value(), vopts);
   if (spec_.setup) {
     if (Status s = spec_.setup(vm); !s.is_ok()) {

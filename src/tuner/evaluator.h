@@ -227,12 +227,12 @@ class Evaluator {
   /// campaign is bit-identical to an uninstrumented one.
   void set_metrics(obs::Registry* registry);
 
-  /// Selects the VM execution engine for variant runs (default kAuto — the
-  /// build-configured default, normally direct-threaded). All engines are
-  /// bit-identical in outcomes, metrics, and accounting (the
-  /// dispatch-equivalence suite pins this), so this is purely a host-speed
-  /// knob. diagnose() is unaffected: shadow execution always runs on the
-  /// reference interpreter. Set before evaluating; not synchronized against
+  /// Selects the VM dispatch for variant runs (default kAuto — the
+  /// build-configured default, normally direct-threaded). Switch and
+  /// threaded dispatch are bit-identical in outcomes, metrics, and
+  /// accounting (the goldens in tests/golden/ pin this), so this is purely a
+  /// host-speed knob. diagnose() is unaffected: shadow execution always runs
+  /// the shadow switch loop. Set before evaluating; not synchronized against
   /// in-flight evaluations.
   void set_vm_dispatch(sim::VmDispatch dispatch) { vm_dispatch_ = dispatch; }
   [[nodiscard]] sim::VmDispatch vm_dispatch() const { return vm_dispatch_; }
