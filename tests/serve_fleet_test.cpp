@@ -515,11 +515,13 @@ struct Fleet {
   Fleet& operator=(Fleet&&) = default;
 
   /// Starts `n` daemons that all know the same peer list (replication R) and
-  /// each own a segmented store directory.
+  /// each own a segmented store directory. Endpoints not given are fresh.
   static Fleet start(std::size_t n, std::size_t replicate,
-                     std::vector<std::string> stores = {}) {
+                     std::vector<std::string> stores = {},
+                     std::vector<std::string> endpoints = {}) {
     Fleet f;
-    for (std::size_t i = 0; i < n; ++i) {
+    f.endpoints = std::move(endpoints);
+    while (f.endpoints.size() < n) {
       f.endpoints.push_back(fresh_path(".shard.sock"));
     }
     f.stores = std::move(stores);
@@ -669,13 +671,31 @@ INSTANTIATE_TEST_SUITE_P(Jobs, FleetDeterminism,
 
 TEST(Fleet, DeadShardDiscoveredMidCampaignFailsOverAndTallies) {
   const tuner::CampaignResult local = run_local_funarc();
-  Fleet f = Fleet::start(3, /*replicate=*/2);
+  // Placement is a function of the endpoint strings, and those are fresh on
+  // every run: a fixed victim may home none of the campaign's keys. A
+  // healthy probe fleet on the same names shows which shards are routed
+  // work, so the victim below is certain to be asked for something.
+  std::vector<std::string> endpoints;
+  std::size_t victim = 0;
+  {
+    Fleet probe = Fleet::start(3, /*replicate=*/2);
+    auto client = fleet_client(probe);
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    expect_same_campaign(local, run_campaign_on(client.value().get(), 1));
+    while (victim < 3 && probe.servers[victim]->stats().requests == 0) {
+      ++victim;
+    }
+    ASSERT_LT(victim, 3u);
+    endpoints = probe.endpoints;
+  }
+
+  Fleet f = Fleet::start(3, /*replicate=*/2, {}, endpoints);
   auto client = fleet_client(f);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
   ASSERT_EQ(client.value()->alive_shards(), 3u);
   // Kill a shard AFTER the hellos: the client still believes it is alive
   // and discovers the death on the first request routed there.
-  f.servers[1]->hard_kill();
+  f.servers[victim]->hard_kill();
 
   tuner::CampaignOptions opts;
   opts.jobs = 1;

@@ -430,8 +430,11 @@ tuner::CampaignResult run_served(const std::string& model, std::size_t jobs,
   return std::move(result.value());
 }
 
+// The model travels as a std::string, not a `const char*`: the parameter is
+// printed into every discovered test name, and a pointer would put its
+// load-address-dependent value there.
 class ServedDeterminism
-    : public ::testing::TestWithParam<std::pair<const char*, std::size_t>> {};
+    : public ::testing::TestWithParam<std::pair<std::string, std::size_t>> {};
 
 TEST_P(ServedDeterminism, TwoConcurrentClientsBitIdenticalToLocal) {
   const auto [model, jobs] = GetParam();
@@ -458,14 +461,13 @@ TEST_P(ServedDeterminism, TwoConcurrentClientsBitIdenticalToLocal) {
 
 INSTANTIATE_TEST_SUITE_P(
     Models, ServedDeterminism,
-    ::testing::Values(std::make_pair("funarc", std::size_t{1}),
-                      std::make_pair("funarc", std::size_t{4}),
-                      std::make_pair("MPAS-A", std::size_t{1}),
-                      std::make_pair("MPAS-A", std::size_t{4})),
+    ::testing::Values(std::make_pair(std::string("funarc"), std::size_t{1}),
+                      std::make_pair(std::string("funarc"), std::size_t{4}),
+                      std::make_pair(std::string("MPAS-A"), std::size_t{1}),
+                      std::make_pair(std::string("MPAS-A"), std::size_t{4})),
     [](const auto& info) {
-      return std::string(info.param.first == std::string("MPAS-A")
-                             ? "mpas"
-                             : info.param.first) +
+      return (info.param.first == "MPAS-A" ? std::string("mpas")
+                                           : info.param.first) +
              "_jobs" + std::to_string(info.param.second);
     });
 
