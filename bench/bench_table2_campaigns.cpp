@@ -355,7 +355,7 @@ int main(int argc, char** argv) {
         std::exit(1);
       }
       serve::ServeClient::Options copts;
-      copts.endpoint = sock;
+      copts.endpoints = {sock};
       copts.model = spec.name;
       copts.target_digest = serve::target_digest(spec);
       auto client = serve::ServeClient::connect(copts);

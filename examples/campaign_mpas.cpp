@@ -25,7 +25,8 @@
 //                  the standalone HTML page alongside)
 //        --server ENDPOINT (offload evaluations to a prose_served daemon at
 //                  "unix:/path", "tcp:host:port", or a bare socket path;
-//                  results are bit-identical to a local run)
+//                  results are bit-identical to a local run; the same
+//                  client as --servers, with one shard)
 //        --servers a.sock,b.sock,... (fleet mode: the daemons' --peers list
 //                  verbatim; requests are sharded by content key with
 //                  hedging and automatic failover — results stay
@@ -171,8 +172,10 @@ int main(int argc, char** argv) {
   std::unique_ptr<serve::ServeClient> server_client;
   if (!server_endpoint.empty() || !server_fleet.empty()) {
     serve::ServeClient::Options copts;
-    copts.endpoint = server_endpoint;
-    copts.endpoints = server_fleet;
+    // --server X is a fleet of one; --servers wins when both are given.
+    copts.endpoints =
+        server_fleet.empty() ? std::vector<std::string>{server_endpoint}
+                             : server_fleet;
     copts.model = spec.name;
     copts.noise_seed = options.noise_seed;
     copts.fault_spec = options.fault_spec;
@@ -274,10 +277,8 @@ int main(int argc, char** argv) {
               << " failovers=" << s.failovers
               << " shards_lost=" << s.shards_lost
               << " busy_backoff_s=" << s.busy_backoff_seconds << "\n";
-    if (!server_fleet.empty()) {
-      std::cout << "server-fleet| " << server_client->fleet_stats_json()
-                << "\n";
-    }
+    std::cout << "server-fleet| " << server_client->fleet_stats_json()
+              << "\n";
   }
   if (!metrics_out.empty() && options.metrics) {
     std::ofstream out(metrics_out);

@@ -108,7 +108,7 @@ std::string ServeClient::hello_payload() const {
   return hello;
 }
 
-Status ServeClient::check_hello_reply(Shard* s, const std::string& payload) {
+Status ServeClient::check_hello_reply(Shard& s, const std::string& payload) {
   auto parsed = json::parse(payload);
   if (!parsed.is_ok()) return parsed.status();
   const json::Value& v = parsed.value();
@@ -132,17 +132,14 @@ Status ServeClient::check_hello_reply(Shard* s, const std::string& payload) {
     ns_hex_ = hex;
     (void)parse_digest_hex(ns_hex_, &ns_digest_);
   }
-  if (s != nullptr) {
-    if (const json::Value* http = v.find("http"); http != nullptr) {
-      s->http = http->str_or("");
-    }
+  if (const json::Value* http = v.find("http"); http != nullptr) {
+    s.http = http->str_or("");
   }
   // A traced daemon reports its trace clock; the caller brackets the hello
   // on our clock and the pair becomes the shard's offset estimate.
-  ClockSample* clock = s != nullptr ? &s->clock : &clock_;
   if (const json::Value* c = v.find("trace_clock_us"); c != nullptr) {
-    clock->server_us = c->num_or(-1.0);
-    clock->emitted = false;
+    s.clock.server_us = c->num_or(-1.0);
+    s.clock.emitted = false;
   }
   return Status::ok();
 }
@@ -153,23 +150,16 @@ void ServeClient::emit_clock_samples() {
   // recover the epoch so hello midpoints recorded before set_tracer() still
   // land on the trace timeline.
   const double epoch_raw_us = monotonic_seconds() * 1e6 - tracer_->now_us();
-  const auto emit = [&](const std::string& endpoint, std::size_t shard,
-                        ClockSample* c) {
-    if (c->server_us < 0.0 || c->emitted) return;
-    const double offset_us = c->server_us - (c->mid_raw_us - epoch_raw_us);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    ClockSample& c = shards_[i].clock;
+    if (c.server_us < 0.0 || c.emitted) continue;
+    const double offset_us = c.server_us - (c.mid_raw_us - epoch_raw_us);
     tracer_->instant("serve/clock", trace::Track::serve(), tracer_->now_us(),
-                     {{"endpoint", endpoint},
-                      {"shard", static_cast<std::int64_t>(shard)},
+                     {{"endpoint", shards_[i].endpoint},
+                      {"shard", static_cast<std::int64_t>(i)},
                       {"offset_us", offset_us},
-                      {"rtt_us", c->rtt_us}});
-    c->emitted = true;
-  };
-  if (fleet_) {
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      emit(shards_[i].endpoint, i, &shards_[i].clock);
-    }
-  } else {
-    emit(options_.endpoint, 0, &clock_);
+                      {"rtt_us", c.rtt_us}});
+    c.emitted = true;
   }
 }
 
@@ -198,7 +188,7 @@ Status ServeClient::connect_shard(Shard* s) {
     return st;
   }
   const double t1 = monotonic_seconds();
-  if (Status st = check_hello_reply(s, payload); !st.is_ok()) {
+  if (Status st = check_hello_reply(*s, payload); !st.is_ok()) {
     ::close(s->fd);
     s->fd = -1;
     return st;
@@ -213,64 +203,38 @@ Status ServeClient::connect_shard(Shard* s) {
 
 StatusOr<std::unique_ptr<ServeClient>> ServeClient::connect(
     const Options& options) {
+  if (options.endpoints.empty()) {
+    return Status(StatusCode::kInvalidArgument, "no endpoints");
+  }
   std::unique_ptr<ServeClient> client(new ServeClient());
   client->options_ = options;
-
-  if (!options.endpoints.empty()) {
-    // Fleet mode: the ring is built from the endpoint strings verbatim —
-    // the same list every daemon was given as --peers.
-    client->fleet_ = true;
-    client->ring_ = HashRing(options.endpoints);
-    client->shards_.resize(options.endpoints.size());
-    Status last_unreachable = Status::ok();
-    std::size_t alive = 0;
-    for (std::size_t i = 0; i < options.endpoints.size(); ++i) {
-      Shard& s = client->shards_[i];
-      s.endpoint = options.endpoints[i];
-      const Status st = client->connect_shard(&s);
-      if (st.is_ok()) {
-        ++alive;
-      } else if (st.code() == StatusCode::kInvalidArgument) {
-        return st;  // misconfiguration, not availability
-      } else {
-        last_unreachable = st;  // shard starts dead; reprobe may heal it
-      }
+  // The ring is built from the endpoint strings verbatim — the same list
+  // every daemon was given as --peers.
+  client->ring_ = HashRing(options.endpoints);
+  client->shards_.resize(options.endpoints.size());
+  Status last_unreachable = Status::ok();
+  std::size_t alive = 0;
+  for (std::size_t i = 0; i < options.endpoints.size(); ++i) {
+    Shard& s = client->shards_[i];
+    s.endpoint = options.endpoints[i];
+    const Status st = client->connect_shard(&s);
+    if (st.is_ok()) {
+      ++alive;
+    } else if (st.code() == StatusCode::kInvalidArgument) {
+      return st;  // misconfiguration, not availability
+    } else {
+      last_unreachable = st;  // shard starts dead; reprobe may heal it
     }
-    if (alive == 0) {
-      return Status(last_unreachable.code(),
-                    "no fleet shard reachable (last: " +
-                        last_unreachable.message() + ")");
-    }
-    return client;
   }
-
-  // Single-server mode: one socket, strict failure.
-  auto fd = connect_endpoint(options.endpoint,
-                             options.connect_timeout_seconds);
-  if (!fd.is_ok()) return fd.status();
-  client->fd_ = fd.value();
-  const double t0 = monotonic_seconds();
-  if (Status s = send_frame(client->fd_, client->hello_payload());
-      !s.is_ok()) {
-    return s;
+  if (alive == 0) {
+    return Status(last_unreachable.code(),
+                  "no fleet shard reachable (last: " +
+                      last_unreachable.message() + ")");
   }
-  std::string payload;
-  if (Status s = read_frame(client->fd_, client->dec_, &payload,
-                            options.hello_timeout_seconds);
-      !s.is_ok()) {
-    return s;
-  }
-  const double t1 = monotonic_seconds();
-  if (Status s = client->check_hello_reply(nullptr, payload); !s.is_ok()) {
-    return s;
-  }
-  client->clock_.mid_raw_us = (t0 + t1) * 0.5 * 1e6;
-  client->clock_.rtt_us = (t1 - t0) * 1e6;
   return client;
 }
 
 ServeClient::~ServeClient() {
-  if (fd_ >= 0) ::close(fd_);
   for (Shard& s : shards_) {
     if (s.fd >= 0) ::close(s.fd);
   }
@@ -278,7 +242,6 @@ ServeClient::~ServeClient() {
 
 std::size_t ServeClient::alive_shards() const {
   std::lock_guard lock(mu_);
-  if (!fleet_) return (fd_ >= 0 && !dead_) ? 1 : 0;
   std::size_t n = 0;
   for (const Shard& s : shards_) {
     if (s.alive) ++n;
@@ -299,216 +262,15 @@ void ServeClient::mark_dead(std::size_t shard_index) {
   s.dec = FrameDecoder();
 }
 
+// --- batch ----------------------------------------------------------------
+
 std::vector<tuner::EvalBackend::RemoteItem> ServeClient::evaluate_many(
-    std::span<const tuner::Config> configs,
-    std::span<const std::uint64_t> streams) {
-  return fleet_ ? evaluate_many_fleet(configs, streams)
-                : evaluate_many_single(configs, streams);
-}
-
-// --- single-server batch --------------------------------------------------
-
-std::vector<tuner::EvalBackend::RemoteItem> ServeClient::evaluate_many_single(
     std::span<const tuner::Config> configs,
     std::span<const std::uint64_t> streams) {
   std::vector<RemoteItem> items(configs.size());
   // Every item that leaves here unresolved (!ok, not a forwarded abort) is
   // computed locally by the evaluator — tally those fallbacks on every exit
   // path, so CampaignSummary can report served-mode degradation.
-  struct FallbackTally {
-    const std::vector<RemoteItem>& items;
-    std::atomic<std::uint64_t>& sink;
-    ~FallbackTally() {
-      std::uint64_t n = 0;
-      for (const RemoteItem& item : items) {
-        if (!item.ok && !item.aborted) ++n;
-      }
-      if (n > 0) sink.fetch_add(n, std::memory_order_relaxed);
-    }
-  } tally{items, fallback_items_};
-  if (configs.size() != streams.size()) return items;
-  std::lock_guard lock(mu_);
-  emit_clock_samples();
-
-  // Request-scoped tracing: one async client/request span per item, a
-  // deterministic 128-bit trace id from (namespace, content key), and a
-  // per-transmission context + flow arrow on every eval frame.
-  const bool traced = tracer_ != nullptr && tracer_->enabled();
-  const std::uint64_t tid_hi = mix64(ns_digest_ ^ 0x7ace1dULL);
-  std::vector<std::uint64_t> tid_lo(traced ? items.size() : 0, 0);
-  std::vector<std::uint64_t> span(traced ? items.size() : 0, 0);
-  std::vector<int> sends(traced ? items.size() : 0, 0);
-  const auto traced_payload = [&](std::size_t i,
-                                  std::uint64_t id) -> std::string {
-    if (!traced) return eval_payload(id, configs[i].key(), streams[i]);
-    const trace::TraceContext ctx =
-        send_context(tid_hi, tid_lo[i], span[i], ++sends[i]);
-    tracer_->flow_start("serve/flow", trace::Track::serve(),
-                        tracer_->now_us(), ctx.flow_id());
-    return eval_payload(id, configs[i].key(), streams[i],
-                        trace_to_json(ctx));
-  };
-  const auto close_span = [&](std::size_t i, const char* result) {
-    if (!traced || span[i] == 0) return;  // 0: span never opened
-    tracer_->async_end("client/request", trace::Track::serve(),
-                       tracer_->now_us(), span[i], {{"result", result}});
-  };
-
-  const auto fail_unresolved = [&](const std::string& why,
-                                   const std::vector<bool>& resolved) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (!resolved[i]) {
-        items[i].ok = false;
-        items[i].aborted = false;
-        items[i].error = why;
-        close_span(i, "transport_fail");
-      }
-    }
-  };
-  std::vector<bool> resolved(items.size(), false);
-  if (dead_ || fd_ < 0) {
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      items[i].error = "connection dead";
-    }
-    return items;
-  }
-
-  // Pipeline the whole batch: all requests go out before any response is
-  // read, so the server can admit and coalesce them together and the socket
-  // round trip is paid once, not per variant.
-  std::unordered_map<std::uint64_t, std::size_t> by_id;
-  std::vector<std::uint64_t> ids(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ids[i] = next_id_++;
-    by_id.emplace(ids[i], i);
-    if (traced) {
-      tid_lo[i] = mix64(ResultStore::content_key(
-          ns_digest_, configs[i].key(), streams[i]));
-      span[i] = mix64(tid_lo[i] ^ ids[i]);
-      tracer_->async_begin(
-          "client/request", trace::Track::serve(), tracer_->now_us(),
-          span[i],
-          {{"trace", send_context(tid_hi, tid_lo[i], span[i], 0).trace_hex()},
-           {"stream", static_cast<std::int64_t>(streams[i])},
-           {"endpoint", options_.endpoint}});
-    }
-    if (Status s = send_frame(fd_, traced_payload(i, ids[i])); !s.is_ok()) {
-      dead_ = true;
-      fail_unresolved(s.message(), resolved);
-      return items;
-    }
-  }
-
-  std::vector<int> busy_rounds(items.size(), 0);
-  std::size_t unresolved = items.size();
-  std::string payload;
-  while (unresolved > 0) {
-    if (Status s = read_frame(fd_, dec_, &payload,
-                              options_.io_timeout_seconds);
-        !s.is_ok()) {
-      dead_ = true;
-      fail_unresolved(s.message(), resolved);
-      return items;
-    }
-    auto parsed = json::parse(payload);
-    if (!parsed.is_ok()) {
-      // The server never sends malformed JSON; if we see it, framing or
-      // peer is broken — stop trusting the connection.
-      dead_ = true;
-      fail_unresolved("malformed server payload: " + parsed.status().message(),
-                      resolved);
-      return items;
-    }
-    const json::Value& v = parsed.value();
-    const json::Value* idv = v.find("id");
-    const auto it =
-        idv != nullptr
-            ? by_id.find(static_cast<std::uint64_t>(idv->int_or(0)))
-            : by_id.end();
-    if (it == by_id.end()) continue;  // not ours (stale/unsolicited)
-    const std::size_t i = it->second;
-    if (resolved[i]) continue;
-    const std::string type = frame_type(v);
-    if (type == "eval_ok") {
-      auto eval = tuner::evaluation_from_json(v);
-      if (eval.is_ok()) {
-        items[i].ok = true;
-        items[i].eval = std::move(eval.value());
-        close_span(i, "ok");
-      } else {
-        items[i].error = "bad eval_ok: " + eval.status().message();
-        close_span(i, "bad_reply");
-      }
-      resolved[i] = true;
-      --unresolved;
-      continue;
-    }
-    if (type == "error") {
-      const std::string code = frame_code(v);
-      const std::string msg = frame_message(v);
-      if (code == "busy") {
-        // Backpressure: deterministic seeded jittered backoff, then resend
-        // this request (same id — the server treats every eval frame
-        // independently). The schedule is a pure function of
-        // (noise_seed, id, attempt): replays sleep the exact same amounts,
-        // and concurrent clients never synchronize into retry stampedes.
-        if (++busy_rounds[i] > options_.max_busy_retries) {
-          items[i].error = "server busy (retries exhausted)";
-          close_span(i, "busy_exhausted");
-          resolved[i] = true;
-          --unresolved;
-          continue;
-        }
-        busy_retries_.fetch_add(1, std::memory_order_relaxed);
-        double after = busy_backoff_seconds(
-            options_.noise_seed, ids[i], busy_rounds[i],
-            options_.busy_backoff_base_seconds,
-            options_.busy_backoff_cap_seconds);
-        if (busy_rounds[i] == 1) {
-          // The server's hint floors the first attempt: it knows its drain
-          // rate better than our schedule does.
-          if (const json::Value* ra = v.find("retry_after"); ra != nullptr) {
-            after = std::max(after, ra->num_or(0.0));
-          }
-        }
-        backoff_us_.fetch_add(static_cast<std::uint64_t>(after * 1e6),
-                              std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::duration<double>(after));
-        if (Status s = send_frame(fd_, traced_payload(i, ids[i]));
-            !s.is_ok()) {
-          dead_ = true;
-          fail_unresolved(s.message(), resolved);
-          return items;
-        }
-        continue;
-      }
-      if (code == "abort") {
-        items[i].aborted = true;
-        items[i].error = msg;
-        close_span(i, "abort");
-      } else {
-        items[i].error = code + ": " + msg;
-        close_span(i, "error");
-      }
-      resolved[i] = true;
-      --unresolved;
-      continue;
-    }
-    // Unknown frame type addressed to us: treat as a per-item failure.
-    items[i].error = "unexpected frame type '" + type + "'";
-    close_span(i, "error");
-    resolved[i] = true;
-    --unresolved;
-  }
-  return items;
-}
-
-// --- fleet batch ----------------------------------------------------------
-
-std::vector<tuner::EvalBackend::RemoteItem> ServeClient::evaluate_many_fleet(
-    std::span<const tuner::Config> configs,
-    std::span<const std::uint64_t> streams) {
-  std::vector<RemoteItem> items(configs.size());
   struct FallbackTally {
     const std::vector<RemoteItem>& items;
     std::atomic<std::uint64_t>& sink;
@@ -914,78 +676,46 @@ std::vector<tuner::EvalBackend::RemoteItem> ServeClient::evaluate_many_fleet(
 
 // --- stats ----------------------------------------------------------------
 
-StatusOr<std::string> ServeClient::stats_json() {
-  std::lock_guard lock(mu_);
-  int fd = fd_;
-  FrameDecoder* dec = &dec_;
-  if (fleet_) {
-    fd = -1;
-    for (Shard& s : shards_) {
-      if (s.alive && s.fd >= 0) {
-        fd = s.fd;
-        dec = &s.dec;
-        break;
-      }
-    }
-  } else if (dead_) {
-    fd = -1;
+StatusOr<std::string> ServeClient::shard_stats(Shard& s) {
+  if (Status st = send_frame(s.fd, "{\"type\":\"stats\"}"); !st.is_ok()) {
+    return st;
   }
-  if (fd < 0) {
-    return Status(StatusCode::kRuntimeFault, "connection dead");
-  }
-  if (Status s = send_frame(fd, "{\"type\":\"stats\"}"); !s.is_ok()) return s;
   std::string payload;
   while (true) {
-    if (Status s = read_frame(fd, *dec, &payload,
-                              options_.connect_timeout_seconds);
-        !s.is_ok()) {
-      return s;
+    if (Status st = read_frame(s.fd, s.dec, &payload,
+                               options_.connect_timeout_seconds);
+        !st.is_ok()) {
+      return st;
     }
     auto parsed = json::parse(payload);
     if (!parsed.is_ok()) return parsed.status();
-    const json::Value* type = parsed->find("type");
-    if (type != nullptr && type->str_or("") == "stats_ok") return payload;
+    if (frame_type(parsed.value()) == "stats_ok") return payload;
     // Anything else on the wire here is unexpected but harmless — skip it.
   }
+}
+
+StatusOr<std::string> ServeClient::stats_json() {
+  std::lock_guard lock(mu_);
+  for (Shard& s : shards_) {
+    if (s.alive && s.fd >= 0) return shard_stats(s);
+  }
+  return Status(StatusCode::kRuntimeFault, "connection dead");
 }
 
 std::string ServeClient::fleet_stats_json() {
   std::lock_guard lock(mu_);
   std::string out = "[";
-  const auto one = [&](const std::string& endpoint, int fd, FrameDecoder* dec,
-                       bool alive) {
+  for (Shard& s : shards_) {
     if (out.size() > 1) out += ',';
-    out += "{\"endpoint\":" + tuner::json_quoted(endpoint);
+    out += "{\"endpoint\":" + tuner::json_quoted(s.endpoint);
     out += ",\"alive\":";
-    out += alive ? "true" : "false";
-    if (alive && fd >= 0) {
-      std::string payload;
-      bool got = send_frame(fd, "{\"type\":\"stats\"}").is_ok();
-      while (got) {
-        if (!read_frame(fd, *dec, &payload,
-                        options_.connect_timeout_seconds)
-                 .is_ok()) {
-          got = false;
-          break;
-        }
-        auto parsed = json::parse(payload);
-        if (!parsed.is_ok()) {
-          got = false;
-          break;
-        }
-        const json::Value* type = parsed->find("type");
-        if (type != nullptr && type->str_or("") == "stats_ok") break;
+    out += s.alive ? "true" : "false";
+    if (s.alive && s.fd >= 0) {
+      if (auto stats = shard_stats(s); stats.is_ok()) {
+        out += ",\"stats\":" + stats.value();
       }
-      if (got) out += ",\"stats\":" + payload;
     }
     out += '}';
-  };
-  if (fleet_) {
-    for (Shard& s : shards_) {
-      one(s.endpoint, s.fd, &s.dec, s.alive);
-    }
-  } else {
-    one(options_.endpoint, fd_, &dec_, fd_ >= 0 && !dead_);
   }
   out += ']';
   return out;

@@ -7,20 +7,18 @@
 // which is the whole determinism story: results depend only on
 // (namespace, config, stream), never on which client asked first.
 //
-// Two shapes behind one type:
-//
-//   * single server (Options::endpoint) — one socket, one hello, the
-//     original pipelined batch conversation;
-//   * fleet (Options::endpoints, 2+) — the client builds the same rendezvous
-//     ring the daemons were given as --peers, routes each request to its
-//     key's home shard, and keeps the campaign running through shard
-//     trouble: hedged requests (after a deterministic latency threshold the
-//     same request races on the next replica; first answer wins), automatic
-//     failover when a shard dies or starts draining mid-batch, deterministic
-//     jittered backoff for busy rejections, and per-batch reprobing of dead
-//     shards (off the daemon's /healthz) so a restarted shard heals back
-//     into the rotation. Every degradation is tallied in counters() —
-//     results are bit-identical to local evaluation no matter what died.
+// One transport for any number of daemons: Options::endpoints lists the
+// shards, and a single evaluation server is simply a fleet of one. The
+// client builds the same rendezvous ring the daemons were given as --peers,
+// routes each request to its key's home shard, and keeps the campaign
+// running through shard trouble: hedged requests (after a deterministic
+// latency threshold the same request races on the next replica; first
+// answer wins), automatic failover when a shard dies or starts draining
+// mid-batch, deterministic jittered backoff for busy rejections, and
+// per-batch reprobing of dead shards (off the daemon's /healthz) so a
+// restarted shard heals back into the rotation. Every degradation is
+// tallied in counters() — results are bit-identical to local evaluation no
+// matter what died.
 //
 // Failure policy mirrors the journal/tracer sinks: a dead or misbehaving
 // server degrades the campaign to local computation (bit-identical results,
@@ -48,10 +46,9 @@ namespace prose::serve {
 class ServeClient : public tuner::EvalBackend {
  public:
   struct Options {
-    /// Single-server mode. Ignored when `endpoints` is non-empty.
-    std::string endpoint;
-    /// Fleet mode: every shard's endpoint, verbatim and in the same ring as
-    /// the daemons' --peers lists (placement hashes these exact strings).
+    /// Every shard's endpoint, verbatim and in the same ring as the
+    /// daemons' --peers lists (placement hashes these exact strings). One
+    /// entry = a single server. Must not be empty.
     std::vector<std::string> endpoints;
     /// Model name the server resolves (TargetSpec::name, e.g. "MPAS-A").
     std::string model;
@@ -84,7 +81,7 @@ class ServeClient : public tuner::EvalBackend {
     /// larger, floors the first attempt.
     double busy_backoff_base_seconds = 0.05;
     double busy_backoff_cap_seconds = 2.0;
-    /// Fleet: hedge threshold. A request unanswered this long is re-issued
+    /// Hedge threshold. A request unanswered this long is re-issued
     /// to its key's next replica; the first reply wins (results are
     /// bit-identical by construction, so either answer is THE answer).
     /// <= 0 disables hedging.
@@ -97,23 +94,23 @@ class ServeClient : public tuner::EvalBackend {
     /// SIGSTOPped daemon yields kDeadlineExceeded instead of hanging the
     /// campaign. <= 0 waits forever.
     double hello_timeout_seconds = 300.0;
-    /// Fleet: a shard whose socket stays silent this long past the last
-    /// send is declared wedged and failed over, exactly like a dead one.
-    /// <= 0 trusts shards to answer eventually (single-server behaviour).
+    /// A shard whose socket stays silent this long past the last send is
+    /// declared wedged and failed over, exactly like a dead one (with no
+    /// replica left, its items fall back to local computation). <= 0 trusts
+    /// shards to answer eventually.
     double io_timeout_seconds = 0.0;
-    /// Fleet: re-dial dead shards at the start of each batch (preceded by a
+    /// Re-dial dead shards at the start of each batch (preceded by a
     /// /healthz probe when the shard ever completed a hello), healing a
     /// restarted shard back into the rotation.
     bool reprobe_dead = true;
   };
 
-  /// Connects and completes the hello handshake (which pins the result
-  /// namespace server-side). Single-server mode fails on transport errors,
-  /// protocol mismatch, unknown model, or digest mismatch. Fleet mode
-  /// tolerates unreachable shards (they start dead and may heal later) but
-  /// needs at least one hello to succeed, and still fails hard on protocol,
-  /// model, or digest disagreement — a misconfigured fleet must not half
-  /// work.
+  /// Connects and completes the hello handshake with every shard (which
+  /// pins the result namespace server-side). Tolerates unreachable shards
+  /// (they start dead and may heal later) but needs at least one hello to
+  /// succeed, and fails hard with kInvalidArgument on an empty endpoint
+  /// list or on protocol, model, or digest disagreement — a misconfigured
+  /// fleet must not half work.
   static StatusOr<std::unique_ptr<ServeClient>> connect(const Options& options);
   ~ServeClient() override;
 
@@ -126,19 +123,19 @@ class ServeClient : public tuner::EvalBackend {
       std::span<const tuner::Config> configs,
       std::span<const std::uint64_t> streams) override;
 
-  /// The server's stats_ok payload (raw JSON) — CI and bench introspection.
-  /// Fleet mode: the first live shard's stats.
+  /// The first live shard's stats_ok payload (raw JSON) — CI and bench
+  /// introspection.
   StatusOr<std::string> stats_json();
 
   /// Fleet-wide stats: one JSON object per shard, dead shards included
-  /// ({"endpoint":...,"alive":false}). Single-server mode: one entry.
+  /// ({"endpoint":...,"alive":false}).
   std::string fleet_stats_json();
 
   /// Namespace digest the server assigned at hello (16-char hex).
   [[nodiscard]] const std::string& namespace_hex() const { return ns_hex_; }
 
   /// Shards currently routable (connected, admitted the hello, not
-  /// draining). Single-server mode: 1 while healthy.
+  /// draining).
   [[nodiscard]] std::size_t alive_shards() const;
 
   /// EvalBackend: degradation tallies — fallbacks, busy waits, hedges,
@@ -187,7 +184,7 @@ class ServeClient : public tuner::EvalBackend {
     bool emitted = false;     // serve/clock instant already written
   };
 
-  /// One fleet shard: a lazily-(re)dialed connection plus its health state.
+  /// One shard: a lazily-(re)dialed connection plus its health state.
   struct Shard {
     std::string endpoint;
     int fd = -1;
@@ -207,32 +204,23 @@ class ServeClient : public tuner::EvalBackend {
   Status connect_shard(Shard* s);
   std::string hello_payload() const;
   /// Parses a hello_ok / error reply; fills ns_hex_ on first success.
-  Status check_hello_reply(Shard* s, const std::string& payload);
+  Status check_hello_reply(Shard& s, const std::string& payload);
+  /// Sends `stats` on the shard's connection and skips frames until the
+  /// stats_ok reply, which it returns.
+  StatusOr<std::string> shard_stats(Shard& s);
   void mark_dead(std::size_t shard_index);
   /// Writes one serve/clock instant per shard whose hello carried a server
   /// trace clock (once per sample) — the merge tool reads these to align
   /// shard timelines. No-op until set_tracer.
   void emit_clock_samples();
-  std::vector<RemoteItem> evaluate_many_fleet(
-      std::span<const tuner::Config> configs,
-      std::span<const std::uint64_t> streams);
-  std::vector<RemoteItem> evaluate_many_single(
-      std::span<const tuner::Config> configs,
-      std::span<const std::uint64_t> streams);
 
   Options options_;
-  bool fleet_ = false;
   HashRing ring_;
-  std::vector<Shard> shards_;  // fleet mode; index-aligned with ring_
-
-  int fd_ = -1;  // single-server mode
-  FrameDecoder dec_;
-  ClockSample clock_;  // single-server clock sample
+  std::vector<Shard> shards_;  // index-aligned with ring_
   trace::Tracer* tracer_ = nullptr;  // campaign flight recorder (may be null)
   std::uint64_t next_id_ = 1;
   std::string ns_hex_;
   std::uint64_t ns_digest_ = 0;
-  bool dead_ = false;  // single-server: transport failed, fall back locally
   std::atomic<std::uint64_t> fallback_items_{0};
   std::atomic<std::uint64_t> busy_retries_{0};
   std::atomic<std::uint64_t> hedges_{0};

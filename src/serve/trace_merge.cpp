@@ -244,7 +244,7 @@ StatusOr<TraceMergeResult> merge_traces(
     if (!shard_doc.is_ok()) return shard_doc.status();
 
     // Pair this file with a clock sample: by endpoint when the caller named
-    // one, else by ring index, else the sole sample of a single-server run.
+    // one, else by ring index, else the sole sample of a one-shard run.
     const ClockSample* clock = nullptr;
     for (const ClockSample& c : clocks) {
       if (!shards[k].endpoint.empty()) {

@@ -41,8 +41,8 @@ namespace prose::serve {
 /// One shard's trace file. `endpoint` is optional: when set it must match
 /// the endpoint string in the client's serve/clock instants (how clock
 /// offsets are paired); when empty the shard is paired positionally (file i
-/// ↔ clock sample with shard index i, or the sole sample in single-server
-/// runs).
+/// ↔ clock sample with shard index i, or the sole sample when one shard
+/// served the run).
 struct TraceShardInput {
   std::string path;
   std::string endpoint;

@@ -134,11 +134,12 @@ struct CampaignSummary {
   /// comparisons, which cover everything the campaign *measured*.
   std::uint64_t fallbacks = 0;
   std::uint64_t busy_retries = 0;
-  /// Fleet-mode degradation (zeros for local and single-server campaigns):
-  /// hedged re-issues (and how many the hedge won), primary-shard failovers,
-  /// shards declared lost mid-campaign, and total deterministic busy backoff
-  /// slept. Transport-dependent like the two above — excluded from
-  /// bit-identity.
+  /// Shard-level degradation (zeros for local campaigns): hedged re-issues
+  /// (and how many the hedge won), primary-shard failovers, shards declared
+  /// lost mid-campaign, and total deterministic busy backoff slept. A single
+  /// server is a fleet of one: it never hedges or fails over, but losing it
+  /// counts in shards_lost. Transport-dependent like the two above —
+  /// excluded from bit-identity.
   std::uint64_t hedges = 0;
   std::uint64_t hedge_wins = 0;
   std::uint64_t failovers = 0;

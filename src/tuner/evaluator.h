@@ -170,9 +170,10 @@ class EvalBackend {
   struct Counters {
     std::uint64_t fallback_items = 0;
     std::uint64_t busy_retries = 0;
-    /// Fleet-mode degradation tallies (zero for single-server backends).
-    /// None of these affect results — a fleet campaign is bit-identical to
-    /// a local one — they record how hard the client worked to stay up.
+    /// Shard-level degradation tallies (a one-shard backend never hedges or
+    /// fails over, but can lose its shard). None of these affect results —
+    /// a served campaign is bit-identical to a local one — they record how
+    /// hard the client worked to stay up.
     std::uint64_t hedges = 0;       // hedged duplicate requests issued
     std::uint64_t hedge_wins = 0;   // items resolved by the hedge, not primary
     std::uint64_t failovers = 0;    // items rerouted off a dead/draining shard

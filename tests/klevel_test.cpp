@@ -236,7 +236,7 @@ TEST(KLevelDeterminism, ServedFourFormatCampaignMatchesLocal) {
   digest_spec.formats =
       prec::parse_format_list("binary16,bfloat16,binary32,binary64");
   serve::ServeClient::Options copts;
-  copts.endpoint = sopts.endpoint;
+  copts.endpoints = {sopts.endpoint};
   copts.model = "funarc";
   copts.formats = "binary16,bfloat16,binary32,binary64";
   copts.target_digest = serve::target_digest(digest_spec);
@@ -260,7 +260,7 @@ TEST(KLevelDeterminism, ServerRejectsKeysOutsideTheLattice) {
   ASSERT_TRUE(server.start().is_ok());
 
   serve::ServeClient::Options copts;
-  copts.endpoint = sopts.endpoint;
+  copts.endpoints = {sopts.endpoint};
   copts.model = "funarc";
   copts.formats = "binary16,binary32,binary64";
   tuner::TargetSpec digest_spec = models::funarc_target();

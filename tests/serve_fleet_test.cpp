@@ -182,7 +182,7 @@ TEST(Deadline, QueryStatsTimesOutAgainstAWedgedDaemon) {
 TEST(Deadline, HelloTimesOutAgainstAWedgedDaemon) {
   SilentEndpoint wedge;
   ServeClient::Options copts;
-  copts.endpoint = wedge.path;
+  copts.endpoints = {wedge.path};
   copts.model = "funarc";
   copts.hello_timeout_seconds = 0.2;
   auto client = ServeClient::connect(copts);
@@ -630,37 +630,53 @@ tuner::CampaignResult run_campaign_on(ServeClient* client, std::size_t jobs) {
   return std::move(result.value());
 }
 
-class FleetDeterminism : public ::testing::TestWithParam<std::size_t> {};
+/// Param: client jobs. Each test picks the fleet size; a fleet of one is
+/// how a single `--server` campaign runs.
+class FleetDeterminism : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  /// Serves a campaign from an n-shard fleet and SIGKILLs the last shard
+  /// mid-run; the results must still match the local campaign bit for bit.
+  void kill_last_shard_mid_run(std::size_t n) {
+    const std::size_t jobs = GetParam();
+    const tuner::CampaignResult local = run_local_funarc();
+
+    Fleet f = Fleet::start(n, /*replicate=*/2);
+    auto client = fleet_client(f);
+    ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+    ASSERT_EQ(client.value()->alive_shards(), n);
+
+    // SIGKILL the shard the moment it has handled real work: every socket
+    // is severed abruptly, queued work is dropped unanswered, nothing is
+    // flushed. With no replica left its keys fall back to local.
+    Server& victim = *f.servers[n - 1];
+    std::atomic<bool> stop_killer{false};
+    std::thread killer([&] {
+      while (!stop_killer.load()) {
+        if (victim.stats().requests >= 2) {
+          victim.hard_kill();
+          return;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    const tuner::CampaignResult served =
+        run_campaign_on(client.value().get(), jobs);
+    stop_killer.store(true);
+    killer.join();
+    // The shard may legitimately never have been routed a request; make the
+    // death unconditional so teardown is deterministic either way.
+    victim.hard_kill();
+
+    expect_same_campaign(local, served);
+  }
+};
 
 TEST_P(FleetDeterminism, ShardKilledMidRunStaysBitIdenticalToLocal) {
-  const std::size_t jobs = GetParam();
-  const tuner::CampaignResult local = run_local_funarc();
+  kill_last_shard_mid_run(3);
+}
 
-  Fleet f = Fleet::start(3, /*replicate=*/2);
-  auto client = fleet_client(f);
-  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
-  ASSERT_EQ(client.value()->alive_shards(), 3u);
-
-  // SIGKILL one shard the moment it has handled real work: every socket is
-  // severed abruptly, queued work is dropped unanswered, nothing is flushed.
-  std::atomic<bool> stop_killer{false};
-  std::thread killer([&] {
-    while (!stop_killer.load()) {
-      if (f.servers[2]->stats().requests >= 2) {
-        f.servers[2]->hard_kill();
-        return;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  const tuner::CampaignResult served = run_campaign_on(client.value().get(), jobs);
-  stop_killer.store(true);
-  killer.join();
-  // The shard may legitimately never have been routed a request; make the
-  // death unconditional so teardown is deterministic either way.
-  f.servers[2]->hard_kill();
-
-  expect_same_campaign(local, served);
+TEST_P(FleetDeterminism, SoleShardKilledMidRunStaysBitIdenticalToLocal) {
+  kill_last_shard_mid_run(1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, FleetDeterminism,
@@ -807,23 +823,35 @@ TEST(Fleet, TwoRacingClientsWithAggressiveHedgingStayBitIdentical) {
                         c2.value()->counters().hedge_wins);
 }
 
-TEST(Fleet, RestartedShardHealsBackIntoTheRotation) {
-  Fleet f = Fleet::start(2, /*replicate=*/2);
+/// Kills the last of n shards, runs a campaign (which discovers the death
+/// and fails over, or falls back to local when n == 1), restarts the shard
+/// and checks the next campaign re-dials it back into the rotation.
+void restart_last_shard_heals(std::size_t n) {
+  Fleet f = Fleet::start(n, /*replicate=*/2);
   auto client = fleet_client(f);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
-  ASSERT_EQ(client.value()->alive_shards(), 2u);
+  ASSERT_EQ(client.value()->alive_shards(), n);
 
-  f.servers[1]->hard_kill();
+  const std::size_t last = n - 1;
+  f.servers[last]->hard_kill();
   run_campaign_on(client.value().get(), 1);  // discovers the death, fails over
-  EXPECT_EQ(client.value()->alive_shards(), 1u);
+  EXPECT_EQ(client.value()->alive_shards(), n - 1);
 
   // Restart the shard on the same endpoint/store/peer list; the client's
   // per-batch reprobe re-dials it and it rejoins the rotation.
-  f.servers[1] = f.make_server(1, 2);
-  ASSERT_TRUE(f.servers[1]->start().is_ok());
+  f.servers[last] = f.make_server(last, 2);
+  ASSERT_TRUE(f.servers[last]->start().is_ok());
   run_campaign_on(client.value().get(), 1);
-  EXPECT_EQ(client.value()->alive_shards(), 2u);
-  EXPECT_GT(f.servers[1]->stats().requests, 0u);
+  EXPECT_EQ(client.value()->alive_shards(), n);
+  EXPECT_GT(f.servers[last]->stats().requests, 0u);
+}
+
+TEST(Fleet, RestartedShardHealsBackIntoTheRotation) {
+  restart_last_shard_heals(2);
+}
+
+TEST(Fleet, RestartedSoleShardHealsBackIntoTheRotation) {
+  restart_last_shard_heals(1);
 }
 
 TEST(Fleet, OneFleetServesTwoMachineModelsViaHelloOverride) {
@@ -884,6 +912,15 @@ TEST(Fleet, MisconfiguredFleetFailsTheConnectNotTheCampaign) {
   auto none = ServeClient::connect(gone);
   ASSERT_FALSE(none.is_ok());
   EXPECT_NE(none.status().message().find("no fleet shard reachable"),
+            std::string::npos);
+
+  // No endpoints at all is a configuration error, not an outage.
+  ServeClient::Options empty;
+  empty.model = "funarc";
+  auto nothing = ServeClient::connect(empty);
+  ASSERT_FALSE(nothing.is_ok());
+  EXPECT_EQ(nothing.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nothing.status().message().find("no endpoints"),
             std::string::npos);
 }
 

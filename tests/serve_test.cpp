@@ -332,7 +332,7 @@ TEST(Server, UnknownModelAndEvalBeforeHelloAreCleanErrors) {
 TEST(Server, DigestMismatchRejectsTheHello) {
   ServerHandle h = start_server();
   ServeClient::Options copts;
-  copts.endpoint = h.endpoint;
+  copts.endpoints = {h.endpoint};
   copts.model = "funarc";
   copts.target_digest = 0xdeadbeef;  // deliberately wrong
   auto client = ServeClient::connect(copts);
@@ -418,7 +418,7 @@ tuner::CampaignResult run_local(const std::string& model, std::size_t jobs) {
 tuner::CampaignResult run_served(const std::string& model, std::size_t jobs,
                                  const std::string& endpoint) {
   ServeClient::Options copts;
-  copts.endpoint = endpoint;
+  copts.endpoints = {endpoint};
   copts.model = model;
   copts.target_digest = target_digest(spec_for(model));
   auto client = ServeClient::connect(copts);
@@ -569,7 +569,7 @@ TEST(ServeObservability, ClientCountsBusyRetriesAndSurfacesThemInSummary) {
   ServerHandle h = start_server(/*jobs=*/1, /*store=*/"",
                                 /*queue_capacity=*/1, /*retry_after=*/0.001);
   ServeClient::Options copts;
-  copts.endpoint = h.endpoint;
+  copts.endpoints = {h.endpoint};
   copts.model = "funarc";
   copts.target_digest = target_digest(spec_for("funarc"));
   auto client = ServeClient::connect(copts);
@@ -591,7 +591,7 @@ TEST(ServeObservability, DeadServerFallsBackLocallyAndCountsFallbacks) {
   const tuner::CampaignResult local = run_local("funarc", 1);
   ServerHandle h = start_server();
   ServeClient::Options copts;
-  copts.endpoint = h.endpoint;
+  copts.endpoints = {h.endpoint};
   copts.model = "funarc";
   auto client = ServeClient::connect(copts);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();
@@ -615,7 +615,7 @@ TEST(ServeObservability, DeadServerFallsBackLocallyAndCountsFallbacks) {
 TEST(ServedDeterminism, ShutdownDrainsBeforeReturning) {
   ServerHandle h = start_server();
   ServeClient::Options copts;
-  copts.endpoint = h.endpoint;
+  copts.endpoints = {h.endpoint};
   copts.model = "funarc";
   auto client = ServeClient::connect(copts);
   ASSERT_TRUE(client.is_ok()) << client.status().to_string();

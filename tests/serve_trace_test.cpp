@@ -364,7 +364,7 @@ TEST(TraceCompat, ContextlessClientAgainstTracedServerEmitsUnparentedSpans) {
     ASSERT_TRUE(server.start().is_ok());
 
     ServeClient::Options copts;
-    copts.endpoint = endpoint;
+    copts.endpoints = {endpoint};
     copts.model = "funarc";
     auto client = ServeClient::connect(copts);
     ASSERT_TRUE(client.is_ok()) << client.status().to_string();
@@ -401,7 +401,7 @@ TEST(TraceCompat, TracedClientAgainstUntracedServerStaysBitIdentical) {
     Server server(opts, resolve_model);
     ASSERT_TRUE(server.start().is_ok());
     ServeClient::Options copts;
-    copts.endpoint = endpoint;
+    copts.endpoints = {endpoint};
     copts.model = "funarc";
     auto client = ServeClient::connect(copts);
     ASSERT_TRUE(client.is_ok()) << client.status().to_string();
