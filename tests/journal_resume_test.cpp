@@ -4,7 +4,8 @@
 //     are identical at any worker count;
 //   * a campaign killed at ANY point — including mid-record — and resumed
 //     from the surviving journal prefix is bit-identical to the
-//     uninterrupted run, for jobs ∈ {1, 4};
+//     uninterrupted run, for jobs ∈ {1, 4}, with and without a node crash
+//     mid-campaign;
 //   * a fixed fault seed yields the identical injected fault sequence
 //     across runs and worker counts, and quarantined (lost) variants are
 //     accounted as "no information";
@@ -13,6 +14,8 @@
 //   * an injected evaluator abort (host crash) leaves the single-flight
 //     memo cache usable — no wedged waiters, no poisoned entries;
 //   * resume refuses foreign or mismatched journals, loudly.
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -141,25 +144,53 @@ void expect_same_campaign(const CampaignResult& a, const CampaignResult& b) {
   }
 }
 
+/// faulted_options() plus the mid-flight node crash that
+/// Faults.NodeCrashShrinksClusterAndSilencesTrack shows firing on 4-node
+/// funarc: resume must also replay the shrunken cluster's schedule.
+CampaignOptions crashed_options(std::size_t jobs = 1) {
+  CampaignOptions options = faulted_options(jobs);
+  options.fault_spec += ";node_crash:node=1,at=10s";
+  return options;
+}
+
 struct ReferenceRun {
   CampaignResult result;
   std::string journal_path;
   std::string journal_bytes;
 };
 
+ReferenceRun* run_reference(const std::string& name, CampaignOptions options) {
+  auto* r = new ReferenceRun;
+  // ctest runs each test in its own process, possibly concurrently: the
+  // pid keeps their reference journals apart.
+  r->journal_path = std::string(::testing::TempDir()) + "/" + name + "." +
+                    std::to_string(::getpid()) + ".journal.jsonl";
+  options.journal_path = r->journal_path;
+  auto run = run_campaign(models::funarc_target(), options);
+  EXPECT_TRUE(run.is_ok()) << run.status().to_string();
+  if (run.is_ok()) r->result = std::move(run.value());
+  r->journal_bytes = slurp(r->journal_path);
+  EXPECT_FALSE(r->journal_bytes.empty());
+  return r;
+}
+
 /// The uninterrupted faulted+journaled reference run (computed once; every
 /// resume test diffs against it).
 const ReferenceRun& reference() {
+  static const ReferenceRun* ref = run_reference("ref", faulted_options());
+  return *ref;
+}
+
+/// The same with node 1 crashing mid-campaign; its trace shows the crash.
+const ReferenceRun& crash_reference() {
   static const ReferenceRun* ref = [] {
-    auto* r = new ReferenceRun;
-    r->journal_path = std::string(::testing::TempDir()) + "/ref.journal.jsonl";
-    CampaignOptions options = faulted_options();
-    options.journal_path = r->journal_path;
-    auto run = run_campaign(models::funarc_target(), options);
-    EXPECT_TRUE(run.is_ok()) << run.status().to_string();
-    if (run.is_ok()) r->result = std::move(run.value());
-    r->journal_bytes = slurp(r->journal_path);
-    EXPECT_FALSE(r->journal_bytes.empty());
+    const std::string trace = std::string(::testing::TempDir()) + "/crash." +
+                              std::to_string(::getpid()) + ".trace.jsonl";
+    CampaignOptions options = crashed_options();
+    options.trace.jsonl_path = trace;
+    ReferenceRun* r = run_reference("crash", options);
+    EXPECT_NE(slurp(trace).find("\"cluster/node-crash\""), std::string::npos)
+        << "the node crash never fired";
     return r;
   }();
   return *ref;
@@ -220,45 +251,56 @@ TEST(Journal, BytesIdenticalAcrossWorkerCounts) {
 class ResumeBitIdentical : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ResumeBitIdentical, FromEveryCutPoint) {
-  const ReferenceRun& ref = reference();
-  ASSERT_FALSE(ref.journal_bytes.empty());
-  const std::size_t total = count_variant_lines(ref.journal_bytes);
-  ASSERT_GT(total, 2u);
-
-  // Cut points: inside the header record (everything lost), after the first
-  // variant, mid-campaign — both line-aligned and torn mid-record — and the
-  // complete journal (nothing to recompute).
-  struct Cut {
+  const struct {
     const char* name;
-    std::size_t bytes;
-    std::size_t complete_variants;  // records surviving the cut
+    const ReferenceRun& ref;
+    CampaignOptions options;
+  } inputs[] = {
+      {"faulted", reference(), faulted_options(GetParam())},
+      {"node-crash", crash_reference(), crashed_options(GetParam())},
   };
-  const std::size_t half = offset_after_variants(ref.journal_bytes, total / 2);
-  const std::vector<Cut> cuts = {
-      {"mid-header", 20, 0},
-      {"first-variant", offset_after_variants(ref.journal_bytes, 1), 1},
-      {"half", half, total / 2},
-      // 10 bytes into the record after `half`: a torn line that load() must
-      // truncate away, falling back to the half cut.
-      {"torn-record", half + 10, total / 2},
-      {"complete", ref.journal_bytes.size(), total},
-  };
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.name);
+    const ReferenceRun& ref = input.ref;
+    ASSERT_FALSE(ref.journal_bytes.empty());
+    const std::size_t total = count_variant_lines(ref.journal_bytes);
+    ASSERT_GT(total, 2u);
 
-  for (const Cut& cut : cuts) {
-    SCOPED_TRACE(cut.name);
-    const std::string path = std::string(::testing::TempDir()) + "/cut." +
-                             cut.name + ".jobs" +
-                             std::to_string(GetParam()) + ".journal.jsonl";
-    spill(path, ref.journal_bytes.substr(0, cut.bytes));
+    // Cut points: inside the header record (everything lost), after the
+    // first variant, mid-campaign — both line-aligned and torn mid-record —
+    // and the complete journal (nothing to recompute).
+    struct Cut {
+      const char* name;
+      std::size_t bytes;
+      std::size_t complete_variants;  // records surviving the cut
+    };
+    const std::size_t half = offset_after_variants(ref.journal_bytes, total / 2);
+    const std::vector<Cut> cuts = {
+        {"mid-header", 20, 0},
+        {"first-variant", offset_after_variants(ref.journal_bytes, 1), 1},
+        {"half", half, total / 2},
+        // 10 bytes into the record after `half`: a torn line that load() must
+        // truncate away, falling back to the half cut.
+        {"torn-record", half + 10, total / 2},
+        {"complete", ref.journal_bytes.size(), total},
+    };
 
-    CampaignOptions options = faulted_options(GetParam());
-    options.journal_path = path;
-    options.resume = true;
-    auto resumed = run_campaign(models::funarc_target(), options);
-    ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
-    expect_same_campaign(ref.result, *resumed);
-    EXPECT_EQ(resumed->replayed_from_journal, cut.complete_variants);
-    EXPECT_TRUE(resumed->summary.journal_error.empty());
+    for (const Cut& cut : cuts) {
+      SCOPED_TRACE(cut.name);
+      const std::string path = std::string(::testing::TempDir()) + "/cut." +
+                               input.name + "." + cut.name + ".jobs" +
+                               std::to_string(GetParam()) + ".journal.jsonl";
+      spill(path, ref.journal_bytes.substr(0, cut.bytes));
+
+      CampaignOptions options = input.options;
+      options.journal_path = path;
+      options.resume = true;
+      auto resumed = run_campaign(models::funarc_target(), options);
+      ASSERT_TRUE(resumed.is_ok()) << resumed.status().to_string();
+      expect_same_campaign(ref.result, *resumed);
+      EXPECT_EQ(resumed->replayed_from_journal, cut.complete_variants);
+      EXPECT_TRUE(resumed->summary.journal_error.empty());
+    }
   }
 }
 

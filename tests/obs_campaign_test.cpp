@@ -13,10 +13,11 @@
 
 #include <gtest/gtest.h>
 
-#include "models/funarc.h"
+#include "models/models.h"
 #include "obs/metrics.h"
 #include "tuner/campaign.h"
 #include "tuner/journal.h"
+#include "tuner/report.h"
 
 namespace prose::tuner {
 namespace {
@@ -50,38 +51,57 @@ void expect_same_summary(const CampaignSummary& a, const CampaignSummary& b) {
 }
 
 TEST(ObsCampaign, MetricsOnIsBitIdenticalToMetricsOffIncludingJournal) {
+  // funarc on a small cluster, and a capped MPAS-A campaign (40 variants,
+  // 1 h budget) on the default cluster.
+  CampaignOptions mpas;
+  mpas.max_variants = 40;
+  mpas.cluster.wall_budget_seconds = 3600.0;
+  const struct {
+    TargetSpec spec;
+    CampaignOptions base;
+  } inputs[] = {
+      {models::funarc_target(), small_cluster()},
+      {models::mpas_target(), mpas},
+  };
   const std::string dir = ::testing::TempDir();
-  struct Run {
-    bool metrics;
-    std::size_t jobs;
-    std::string journal;
-  };
-  const Run runs[] = {
-      {true, 1, dir + "/obs_on_j1.jsonl"},
-      {false, 1, dir + "/obs_off_j1.jsonl"},
-      {true, 4, dir + "/obs_on_j4.jsonl"},
-      {false, 4, dir + "/obs_off_j4.jsonl"},
-  };
-  StatusOr<CampaignResult> results[4] = {
-      Status::ok(), Status::ok(), Status::ok(), Status::ok()};
-  for (int i = 0; i < 4; ++i) {
-    CampaignOptions options = small_cluster();
-    options.metrics = runs[i].metrics;
-    options.jobs = runs[i].jobs;
-    options.journal_path = runs[i].journal;
-    results[i] = run_campaign(models::funarc_target(), options);
-    ASSERT_TRUE(results[i].is_ok()) << results[i].status().to_string();
+  for (const auto& input : inputs) {
+    SCOPED_TRACE(input.spec.name);
+    struct Run {
+      bool metrics;
+      std::size_t jobs;
+      std::string journal;
+    };
+    const std::string stem = dir + "/obs_" + input.spec.name;
+    const Run runs[] = {
+        {true, 1, stem + "_on_j1.jsonl"},
+        {false, 1, stem + "_off_j1.jsonl"},
+        {true, 4, stem + "_on_j4.jsonl"},
+        {false, 4, stem + "_off_j4.jsonl"},
+    };
+    StatusOr<CampaignResult> results[4] = {
+        Status::ok(), Status::ok(), Status::ok(), Status::ok()};
+    for (int i = 0; i < 4; ++i) {
+      CampaignOptions options = input.base;
+      options.metrics = runs[i].metrics;
+      options.jobs = runs[i].jobs;
+      options.journal_path = runs[i].journal;
+      results[i] = run_campaign(input.spec, options);
+      ASSERT_TRUE(results[i].is_ok()) << results[i].status().to_string();
+    }
+    const std::string reference = slurp(runs[0].journal);
+    ASSERT_FALSE(reference.empty());
+    const std::string report = final_variant_report(*results[0]);
+    for (int i = 1; i < 4; ++i) {
+      expect_same_summary(results[0]->summary, results[i]->summary);
+      EXPECT_EQ(report, final_variant_report(*results[i]))
+          << "final-variant report differs for run " << i;
+      EXPECT_EQ(reference, slurp(runs[i].journal))
+          << "journal bytes differ for run " << i;
+    }
+    // The metrics-off runs really collected nothing; the metrics-on runs did.
+    EXPECT_TRUE(results[1]->summary.metrics.series.empty());
+    EXPECT_FALSE(results[0]->summary.metrics.series.empty());
   }
-  const std::string reference = slurp(runs[0].journal);
-  ASSERT_FALSE(reference.empty());
-  for (int i = 1; i < 4; ++i) {
-    expect_same_summary(results[0]->summary, results[i]->summary);
-    EXPECT_EQ(reference, slurp(runs[i].journal))
-        << "journal bytes differ for run " << i;
-  }
-  // The metrics-off runs really collected nothing; the metrics-on runs did.
-  EXPECT_TRUE(results[1]->summary.metrics.series.empty());
-  EXPECT_FALSE(results[0]->summary.metrics.series.empty());
 }
 
 TEST(ObsCampaign, RegistryCountsEvaluatorAndSinkActivity) {

@@ -3,6 +3,8 @@
 // These are the same properties the benches print; here they gate CI.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "models/models.h"
 #include "tuner/campaign.h"
 
@@ -82,14 +84,37 @@ TEST(PaperShapes, Mom6CampaignHeadline) {
 }
 
 TEST(PaperShapes, Mom6ReducedBudgetIsCutOff) {
-  tuner::CampaignOptions options;
-  options.cluster.wall_budget_seconds = 5.0 * 3600.0;
-  auto result = tuner::run_campaign(mom6_target(), options);
-  ASSERT_TRUE(result.is_ok());
-  EXPECT_FALSE(result->summary.finished)
-      << "the reduced-budget MOM6 search must be cut off mid-flight, like the "
-         "paper's 12h/351-atom run";
-  EXPECT_GT(result->summary.total, 20u);
+  // The budget cuts the search off inside a batch; where it cuts must not
+  // depend on the worker count.
+  std::vector<CampaignResult> results;
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    tuner::CampaignOptions options;
+    options.cluster.wall_budget_seconds = 5.0 * 3600.0;
+    options.jobs = jobs;
+    auto result = tuner::run_campaign(mom6_target(), options);
+    ASSERT_TRUE(result.is_ok());
+    EXPECT_FALSE(result->summary.finished)
+        << "the reduced-budget MOM6 search must be cut off mid-flight, like the "
+           "paper's 12h/351-atom run";
+    EXPECT_GT(result->summary.total, 20u);
+    results.push_back(std::move(result.value()));
+  }
+  const tuner::SearchResult& serial = results[0].search;
+  const tuner::SearchResult& parallel = results[1].search;
+  ASSERT_EQ(serial.records.size(), parallel.records.size());
+  for (std::size_t i = 0; i < serial.records.size(); ++i) {
+    EXPECT_EQ(serial.records[i].config, parallel.records[i].config) << "variant " << i;
+    EXPECT_EQ(serial.records[i].eval.outcome, parallel.records[i].eval.outcome)
+        << "variant " << i;
+    EXPECT_EQ(serial.records[i].eval.speedup, parallel.records[i].eval.speedup)
+        << "variant " << i;
+  }
+  EXPECT_EQ(serial.accepted, parallel.accepted);
+  EXPECT_EQ(serial.best, parallel.best);
+  EXPECT_EQ(serial.best_speedup, parallel.best_speedup);
+  EXPECT_EQ(serial.cache_hits, parallel.cache_hits);
+  EXPECT_EQ(serial.budget_exhausted, parallel.budget_exhausted);
+  EXPECT_EQ(results[0].summary.wall_hours, results[1].summary.wall_hours);
 }
 
 }  // namespace

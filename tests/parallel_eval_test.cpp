@@ -76,6 +76,16 @@ const SearchResult& serial_mpas() {
   return result;
 }
 
+const SearchResult& serial_adcirc() {
+  static const SearchResult result = run_delta_debug(models::adcirc_target(), 1);
+  return result;
+}
+
+const SearchResult& serial_mom6() {
+  static const SearchResult result = run_delta_debug(models::mom6_target(), 1);
+  return result;
+}
+
 class ParallelDeterminism : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelDeterminism, FunarcBitIdenticalToSerial) {
@@ -86,6 +96,16 @@ TEST_P(ParallelDeterminism, FunarcBitIdenticalToSerial) {
 TEST_P(ParallelDeterminism, MpasBitIdenticalToSerial) {
   expect_same_result(serial_mpas(),
                      run_delta_debug(models::mpas_target(), GetParam()));
+}
+
+TEST_P(ParallelDeterminism, AdcircBitIdenticalToSerial) {
+  expect_same_result(serial_adcirc(),
+                     run_delta_debug(models::adcirc_target(), GetParam()));
+}
+
+TEST_P(ParallelDeterminism, Mom6BitIdenticalToSerial) {
+  expect_same_result(serial_mom6(),
+                     run_delta_debug(models::mom6_target(), GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ParallelDeterminism,
