@@ -14,12 +14,3 @@ for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   "$b"
 done 2>&1 | tee bench_output.txt
-
-# Benches invoked from build/ (ctest, manual runs) leave their artifacts in
-# build/bench_out; fold those BENCH_*.json legs into the tracked top-level
-# bench_out/ so the published numbers live in one place.
-if [ -d build/bench_out ]; then
-  for f in build/bench_out/BENCH_*.json; do
-    [ -f "$f" ] && cp -f "$f" bench_out/
-  done
-fi

@@ -38,6 +38,13 @@ StatusOr<CliFlags> CliFlags::parse(int argc, const char* const* argv) {
   return flags;
 }
 
+std::vector<std::string> CliFlags::names() const {
+  std::vector<std::string> out;
+  out.reserve(values_.size());
+  for (const auto& [name, value] : values_) out.push_back(name);
+  return out;
+}
+
 bool CliFlags::has(const std::string& name) const { return values_.contains(name); }
 
 std::string CliFlags::get_string(const std::string& name, const std::string& fallback) const {

@@ -29,6 +29,9 @@ class CliFlags {
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const { return positional_; }
+  /// Names of every flag given (`--no-x` is listed as "x"), sorted; lets a
+  /// caller reject the ones it does not know.
+  [[nodiscard]] std::vector<std::string> names() const;
 
  private:
   std::map<std::string, std::string> values_;
