@@ -2,15 +2,18 @@
 // byte compatibility + the '_'-joined custom scheme and its inverse),
 // SearchSpace lattice levels, journal header version skew on the formats
 // field, the machine-model formats codec, and the determinism contract on a
-// ≥3-format search — bit-identical across worker counts and served vs local.
+// ≥3-format search — bit-identical (journal bytes included) across worker
+// counts, and served vs local from a cold or a warm store.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,6 +25,7 @@
 #include "support/json.h"
 #include "tuner/campaign.h"
 #include "tuner/frontier.h"
+#include "tuner/html_report.h"
 #include "tuner/journal.h"
 #include "tuner/report.h"
 #include "tuner/search_space.h"
@@ -190,62 +194,119 @@ void expect_same_search(const tuner::SearchResult& a,
   EXPECT_EQ(a.cache_hits, b.cache_hits);
 }
 
-tuner::CampaignResult run_klevel(std::size_t jobs,
+constexpr const char* kFourFormats = "binary16,bfloat16,binary32,binary64";
+
+tuner::TargetSpec spec_for(const std::string& model) {
+  return model == "MPAS-A" ? models::mpas_target() : models::funarc_target();
+}
+
+/// A campaign on the 4-format lattice: funarc in full, MPAS-A capped at 40
+/// variants in a 1 h budget. A non-empty `journal` is written as it runs.
+tuner::CampaignResult run_klevel(const std::string& model, std::size_t jobs,
+                                 const std::string& journal = "",
                                  tuner::EvalBackend* backend = nullptr) {
   tuner::CampaignOptions options;
   options.jobs = jobs;
-  options.formats =
-      prec::parse_format_list("binary16,bfloat16,binary32,binary64");
+  options.formats = prec::parse_format_list(kFourFormats);
+  options.journal_path = journal;
   options.backend = backend;
-  auto result = tuner::run_campaign(models::funarc_target(), options);
+  if (model == "MPAS-A") {
+    options.cluster.wall_budget_seconds = 3600.0;
+    options.max_variants = 40;
+  }
+  auto result = tuner::run_campaign(spec_for(model), options);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
   return std::move(result.value());
 }
 
-TEST(KLevelDeterminism, FourFormatSearchBitIdenticalAcrossJobs) {
-  const tuner::CampaignResult serial = run_klevel(1);
-  const tuner::CampaignResult parallel = run_klevel(4);
-  expect_same_search(serial.search, parallel.search);
-  EXPECT_EQ(serial.final_kinds, parallel.final_kinds);
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
 
-  // Every evaluated config stays inside the declared lattice.
-  const std::vector<std::uint16_t> lattice =
-      prec::parse_format_list("binary16,bfloat16,binary32,binary64");
-  for (const auto& r : serial.search.records) {
-    for (const std::uint16_t k : r.config.kinds) {
-      EXPECT_NE(std::find(lattice.begin(), lattice.end(), k), lattice.end())
-          << "kind " << k << " outside the lattice";
+TEST(KLevelDeterminism, FourFormatSearchBitIdenticalAcrossJobs) {
+  const std::vector<std::uint16_t> lattice = prec::parse_format_list(kFourFormats);
+  for (const std::string model : {"funarc", "MPAS-A"}) {
+    SCOPED_TRACE(model);
+    const std::string serial_journal = fresh_path(".j1.journal");
+    const std::string parallel_journal = fresh_path(".j4.journal");
+    const tuner::CampaignResult serial = run_klevel(model, 1, serial_journal);
+    const tuner::CampaignResult parallel = run_klevel(model, 4, parallel_journal);
+    expect_same_search(serial.search, parallel.search);
+    EXPECT_EQ(serial.final_kinds, parallel.final_kinds);
+    const std::string journal = slurp(serial_journal);
+    EXPECT_EQ(journal, slurp(parallel_journal)) << "journal bytes differ across jobs";
+    // The header names the widened lattice, in canonical order.
+    EXPECT_NE(journal.substr(0, journal.find('\n'))
+                  .find("\"formats\":\"e8m7,e5m10,binary32,binary64\""),
+              std::string::npos);
+    std::remove(serial_journal.c_str());
+    std::remove(parallel_journal.c_str());
+
+    // Every evaluated config stays inside the declared lattice.
+    for (const auto& r : serial.search.records) {
+      for (const std::uint16_t k : r.config.kinds) {
+        EXPECT_NE(std::find(lattice.begin(), lattice.end(), k), lattice.end())
+            << "kind " << k << " outside the lattice";
+      }
     }
+
+    // Both census renderings come out of a k-level campaign.
+    EXPECT_NE(tuner::format_census_report(serial).find("format census"),
+              std::string::npos);
+    EXPECT_NE(tuner::format_census_html(model + " format census", serial)
+                  .find("Cast tallies"),
+              std::string::npos);
   }
 }
 
 TEST(KLevelDeterminism, ServedFourFormatCampaignMatchesLocal) {
-  const tuner::CampaignResult local = run_klevel(1);
-
-  serve::ServerOptions sopts;
-  sopts.endpoint = fresh_path(".sock");
-  sopts.jobs = 2;
-  serve::Server server(sopts, [](const std::string& model)
-                                  -> StatusOr<tuner::TargetSpec> {
-    if (model == "funarc") return models::funarc_target();
-    return Status(StatusCode::kNotFound, "unknown model '" + model + "'");
-  });
-  ASSERT_TRUE(server.start().is_ok());
-
+  const tuner::CampaignResult local = run_klevel("funarc", 1);
   tuner::TargetSpec digest_spec = models::funarc_target();
-  digest_spec.formats =
-      prec::parse_format_list("binary16,bfloat16,binary32,binary64");
-  serve::ServeClient::Options copts;
-  copts.endpoints = {sopts.endpoint};
-  copts.model = "funarc";
-  copts.formats = "binary16,bfloat16,binary32,binary64";
-  copts.target_digest = serve::target_digest(digest_spec);
-  auto client = serve::ServeClient::connect(copts);
-  ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+  digest_spec.formats = prec::parse_format_list(kFourFormats);
 
-  const tuner::CampaignResult served = run_klevel(4, client.value().get());
-  expect_same_search(local.search, served.search);
-  EXPECT_EQ(local.final_kinds, served.final_kinds);
+  // Cold, then warm: a fresh server over the store the cold one persisted
+  // answers the rerun from disk instead of executing it again.
+  const std::string store = fresh_path(".storedir");
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(warm ? "warm" : "cold");
+    serve::ServerOptions sopts;
+    sopts.endpoint = fresh_path(".sock");
+    sopts.store_path = store;
+    sopts.store_dir = true;
+    sopts.jobs = 2;
+    serve::Server server(sopts, [](const std::string& model)
+                                    -> StatusOr<tuner::TargetSpec> {
+      if (model == "funarc") return models::funarc_target();
+      return Status(StatusCode::kNotFound, "unknown model '" + model + "'");
+    });
+    ASSERT_TRUE(server.start().is_ok());
+    {
+      serve::ServeClient::Options copts;
+      copts.endpoints = {sopts.endpoint};
+      copts.model = "funarc";
+      copts.formats = kFourFormats;
+      copts.target_digest = serve::target_digest(digest_spec);
+      auto client = serve::ServeClient::connect(copts);
+      ASSERT_TRUE(client.is_ok()) << client.status().to_string();
+
+      const tuner::CampaignResult served =
+          run_klevel("funarc", 4, "", client.value().get());
+      expect_same_search(local.search, served.search);
+      EXPECT_EQ(local.final_kinds, served.final_kinds);
+    }
+    server.shutdown();
+    server.wait();
+    if (warm) {
+      const serve::ServerStats stats = server.stats();
+      EXPECT_GT(stats.requests, 0u);
+      EXPECT_GE(stats.store_hits * 10, stats.requests * 9);
+      EXPECT_LE(stats.evals_executed * 10, stats.requests);
+    }
+  }
+  std::filesystem::remove_all(store);
 }
 
 TEST(KLevelDeterminism, ServerRejectsKeysOutsideTheLattice) {

@@ -183,6 +183,26 @@ TEST(Report, DiagnosisJsonRoundTripsThroughOwnParser) {
   const auto& variant = v.find("variants")->items()[0];
   EXPECT_EQ(variant.find("key")->str_or(""), "48\"&<>");
   EXPECT_EQ(variant.find("first_divergence_instr")->int_or(0), 7);
+
+  // The schema readers of --diagnosis-out rely on: every key is present.
+  for (const char* key :
+       {"model", "rejected", "diagnosed", "atoms", "procedures", "variants"}) {
+    EXPECT_NE(v.find(key), nullptr) << key;
+  }
+  EXPECT_EQ(v.find("variants")->items().size(),
+            static_cast<std::size_t>(v.find("diagnosed")->int_or(0)));
+  for (const char* key : {"qualified", "score", "fail_association", "max_rel_div",
+                          "demoted_rejected", "demoted_total", "pivotal", "final64"}) {
+    EXPECT_NE(atom.find(key), nullptr) << "atom " << key;
+  }
+  EXPECT_EQ(atom.find("score")->num_or(-1.0), 0.8);
+  for (const char* key : {"qualified", "blame_share", "cancellations",
+                          "control_divergences", "faults", "cast_cycles"}) {
+    EXPECT_NE(proc.find(key), nullptr) << "procedure " << key;
+  }
+  for (const char* key : {"key", "outcome", "max_rel_div", "variables", "procedures"}) {
+    EXPECT_NE(variant.find(key), nullptr) << "variant " << key;
+  }
 }
 
 TEST(Report, DiagnosisReportListsRankingsAndSites) {

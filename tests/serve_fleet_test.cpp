@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <string>
@@ -601,33 +602,39 @@ void expect_same_campaign(const tuner::CampaignResult& local,
   EXPECT_EQ(local.final_kinds, served.final_kinds);
 }
 
-tuner::CampaignResult run_local_funarc(std::size_t jobs = 1) {
+/// A funarc campaign, served through `client` or local when it is null;
+/// `faults` and `journal` are the fault spec and journal path (empty = off).
+tuner::CampaignResult run_campaign_on(ServeClient* client, std::size_t jobs,
+                                      const std::string& faults = "",
+                                      const std::string& journal = "") {
   tuner::CampaignOptions opts;
   opts.jobs = jobs;
+  opts.backend = client;
+  opts.fault_spec = faults;
+  opts.journal_path = journal;
   auto result = tuner::run_campaign(models::funarc_target(), opts);
   EXPECT_TRUE(result.is_ok()) << result.status().to_string();
   return std::move(result.value());
 }
 
+tuner::CampaignResult run_local_funarc() { return run_campaign_on(nullptr, 1); }
+
 StatusOr<std::unique_ptr<ServeClient>> fleet_client(
-    const Fleet& f, double hedge_after = 0.0) {
+    const Fleet& f, double hedge_after = 0.0, const std::string& faults = "") {
   ServeClient::Options copts;
   copts.endpoints = f.endpoints;
   copts.model = "funarc";
   copts.target_digest = target_digest(models::funarc_target());
+  copts.fault_spec = faults;
   copts.hedge_after_seconds = hedge_after;
   copts.connect_timeout_seconds = 2.0;
   copts.io_timeout_seconds = 30.0;
   return ServeClient::connect(copts);
 }
 
-tuner::CampaignResult run_campaign_on(ServeClient* client, std::size_t jobs) {
-  tuner::CampaignOptions opts;
-  opts.jobs = jobs;
-  opts.backend = client;
-  auto result = tuner::run_campaign(models::funarc_target(), opts);
-  EXPECT_TRUE(result.is_ok()) << result.status().to_string();
-  return std::move(result.value());
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 /// Param: client jobs. Each test picks the fleet size; a fleet of one is
@@ -635,13 +642,17 @@ tuner::CampaignResult run_campaign_on(ServeClient* client, std::size_t jobs) {
 class FleetDeterminism : public ::testing::TestWithParam<std::size_t> {
  protected:
   /// Serves a campaign from an n-shard fleet and SIGKILLs the last shard
-  /// mid-run; the results must still match the local campaign bit for bit.
-  void kill_last_shard_mid_run(std::size_t n) {
+  /// mid-run; the results and journal bytes must still match the local
+  /// campaign bit for bit, under the fault spec `faults` too.
+  void kill_last_shard_mid_run(std::size_t n, const std::string& faults = "") {
     const std::size_t jobs = GetParam();
-    const tuner::CampaignResult local = run_local_funarc();
+    const std::string local_journal = fresh_path(".local.journal");
+    const std::string served_journal = fresh_path(".served.journal");
+    const tuner::CampaignResult local =
+        run_campaign_on(nullptr, 1, faults, local_journal);
 
     Fleet f = Fleet::start(n, /*replicate=*/2);
-    auto client = fleet_client(f);
+    auto client = fleet_client(f, /*hedge_after=*/0.0, faults);
     ASSERT_TRUE(client.is_ok()) << client.status().to_string();
     ASSERT_EQ(client.value()->alive_shards(), n);
 
@@ -660,7 +671,7 @@ class FleetDeterminism : public ::testing::TestWithParam<std::size_t> {
       }
     });
     const tuner::CampaignResult served =
-        run_campaign_on(client.value().get(), jobs);
+        run_campaign_on(client.value().get(), jobs, faults, served_journal);
     stop_killer.store(true);
     killer.join();
     // The shard may legitimately never have been routed a request; make the
@@ -668,11 +679,18 @@ class FleetDeterminism : public ::testing::TestWithParam<std::size_t> {
     victim.hard_kill();
 
     expect_same_campaign(local, served);
+    EXPECT_EQ(slurp(local_journal), slurp(served_journal))
+        << "journal bytes differ from the local run";
+    std::remove(local_journal.c_str());
+    std::remove(served_journal.c_str());
   }
 };
 
 TEST_P(FleetDeterminism, ShardKilledMidRunStaysBitIdenticalToLocal) {
   kill_last_shard_mid_run(3);
+  // Injected transient faults: retries and quarantines must replay the same
+  // way on the fleet as they do locally.
+  kill_last_shard_mid_run(3, "transient:p=0.05");
 }
 
 TEST_P(FleetDeterminism, SoleShardKilledMidRunStaysBitIdenticalToLocal) {
