@@ -6,14 +6,12 @@
 // to the binary (or under --outdir), and prints a PAPER vs MEASURED recap.
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <string_view>
 
 #include "support/cli.h"
 #include "support/strings.h"
@@ -44,31 +42,15 @@ struct BenchIo {
   /// positional argument, prints what was wrong and exits with status 2: a
   /// bench must never quietly run a configuration other than the one asked.
   static BenchIo from_args(int argc, char** argv) {
-    static constexpr std::string_view kFlags[] = {"outdir",    "quick",       "jobs",
-                                                  "trace-out", "trace-jsonl", "diagnose"};
-    const auto usage_error = [&](const std::string& what) {
-      std::cerr << argv[0] << ": " << what << "\nflags:";
-      for (const std::string_view flag : kFlags) std::cerr << " --" << flag;
-      std::cerr << "\n";
-      std::exit(2);
-    };
-    auto flags = CliFlags::parse(argc, argv);
-    if (!flags.is_ok()) usage_error(flags.status().to_string());
-    for (const std::string& name : flags->names()) {
-      if (std::find(std::begin(kFlags), std::end(kFlags), name) == std::end(kFlags)) {
-        usage_error("unknown flag --" + name);
-      }
-    }
-    if (!flags->positional().empty()) {
-      usage_error("unexpected argument '" + flags->positional().front() + "'");
-    }
+    const CliFlags flags = CliFlags::parse_or_exit(
+        argc, argv, {"outdir", "quick", "jobs", "trace-out", "trace-jsonl", "diagnose"});
     BenchIo io;
-    io.outdir = flags->get_string("outdir", "bench_out");
-    io.quick = flags->get_bool("quick", false);
-    io.jobs = static_cast<std::size_t>(flags->get_int("jobs", 1));
-    io.trace_out = flags->get_string("trace-out", "");
-    io.trace_jsonl = flags->get_string("trace-jsonl", "");
-    io.diagnose = flags->get_bool("diagnose", false);
+    io.outdir = flags.get_string("outdir", "bench_out");
+    io.quick = flags.get_bool("quick", false);
+    io.jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+    io.trace_out = flags.get_string("trace-out", "");
+    io.trace_jsonl = flags.get_string("trace-jsonl", "");
+    io.diagnose = flags.get_bool("diagnose", false);
     std::error_code ec;
     std::filesystem::create_directories(io.outdir, ec);  // best effort
     return io;

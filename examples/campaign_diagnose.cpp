@@ -21,13 +21,11 @@
 using namespace prose;
 
 int main(int argc, char** argv) {
-  auto flags = CliFlags::parse(argc, argv);
-  if (!flags.is_ok()) {
-    std::cerr << flags.status().to_string() << "\n";
-    return 1;
-  }
+  const CliFlags flags = CliFlags::parse_or_exit(
+      argc, argv,
+      {"model", "hours", "max-variants", "jobs", "max-diagnosed", "diagnosis-out"});
 
-  const std::string model = flags->get_string("model", "adcirc");
+  const std::string model = flags.get_string("model", "adcirc");
   tuner::TargetSpec spec;
   if (model == "funarc") {
     spec = models::funarc_target();
@@ -44,14 +42,14 @@ int main(int argc, char** argv) {
   }
 
   tuner::CampaignOptions options;
-  options.cluster.wall_budget_seconds = flags->get_double("hours", 12.0) * 3600.0;
+  options.cluster.wall_budget_seconds = flags.get_double("hours", 12.0) * 3600.0;
   options.max_variants =
-      static_cast<std::size_t>(flags->get_int("max-variants", 0));
-  options.jobs = static_cast<std::size_t>(flags->get_int("jobs", 1));
+      static_cast<std::size_t>(flags.get_int("max-variants", 0));
+  options.jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
   options.diagnose = true;
   options.max_diagnosed =
-      static_cast<std::size_t>(flags->get_int("max-diagnosed", 64));
-  const std::string diagnosis_out = flags->get_string("diagnosis-out", "");
+      static_cast<std::size_t>(flags.get_int("max-diagnosed", 64));
+  const std::string diagnosis_out = flags.get_string("diagnosis-out", "");
 
   std::cout << "tuning " << spec.name << " with the numerical flight recorder on ("
             << options.cluster.wall_budget_seconds / 3600.0 << " h budget)...\n";

@@ -33,9 +33,6 @@
 //                  bit-identical even when a shard dies mid-run)
 //        --hedge-ms N (fleet: re-issue a request to the next replica after
 //                  N ms without an answer; first reply wins; 0 = off)
-//        --no-metrics (disable the observability registry; results are
-//                  bit-identical either way — this knob exists for the
-//                  overhead benchmark)
 //        --vm-dispatch MODE (VM dispatch loop: auto | switch | threaded;
 //                  results are bit-identical for every mode — this only
 //                  changes host wall-clock time)
@@ -51,8 +48,8 @@
 //        --census-html FILE (with --formats: write the per-format census /
 //                  cast-tally page as a standalone HTML file)
 //        --model NAME (funarc | mpas; default mpas — the full campaign
-//                  driver on the small motivating example, mostly for CI
-//                  smoke runs that need journals/serving on a fast target)
+//                  driver on the small motivating example, a fast target
+//                  for journal, resume and serving runs)
 #include <atomic>
 #include <csignal>
 #include <fstream>
@@ -90,57 +87,54 @@ extern "C" void handle_stop_signal(int) {
 int main(int argc, char** argv) {
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
-  auto flags = CliFlags::parse(argc, argv);
+  const CliFlags flags = CliFlags::parse_or_exit(
+      argc, argv,
+      {"nodes", "hours", "max-variants", "jobs", "trace-out", "trace-jsonl",
+       "faults", "fault-seed", "retries", "backoff", "journal", "resume",
+       "kill-after", "diagnose", "diagnosis-out", "server", "servers",
+       "hedge-ms", "vm-dispatch", "metrics-out", "metrics-footer", "formats",
+       "census-html", "model"});
   tuner::CampaignOptions options;
-  if (flags.is_ok()) {
-    options.cluster.nodes = static_cast<std::size_t>(flags->get_int("nodes", 20));
-    options.cluster.wall_budget_seconds = flags->get_double("hours", 12.0) * 3600.0;
-    options.max_variants =
-        static_cast<std::size_t>(flags->get_int("max-variants", 0));
-    options.jobs = static_cast<std::size_t>(flags->get_int("jobs", 1));
-    options.trace.chrome_path = flags->get_string("trace-out", "");
-    options.trace.jsonl_path = flags->get_string("trace-jsonl", "");
-    options.fault_spec = flags->get_string("faults", "");
-    options.fault_seed =
-        static_cast<std::uint64_t>(flags->get_int("fault-seed", 2025));
-    options.retry.max_attempts = flags->get_int("retries", 3);
-    options.retry.backoff_seconds = flags->get_double("backoff", 30.0);
-    options.journal_path = flags->get_string("journal", "");
-    options.resume = flags->get_bool("resume", false);
-    options.journal_kill_after =
-        static_cast<std::size_t>(flags->get_int("kill-after", 0));
-    options.diagnose = flags->get_bool("diagnose", false) ||
-                       flags->has("diagnosis-out");
-    options.metrics = !flags->get_bool("no-metrics", false);
-    options.metrics_footer = flags->get_bool("metrics-footer", false);
-    const std::string dispatch = flags->get_string("vm-dispatch", "auto");
-    if (!tuner::vm_dispatch_from_string(dispatch, &options.vm_dispatch)) {
-      std::cerr << "--vm-dispatch must be auto | switch | threaded "
-                << "(got '" << dispatch << "')\n";
+  options.cluster.nodes = static_cast<std::size_t>(flags.get_int("nodes", 20));
+  options.cluster.wall_budget_seconds = flags.get_double("hours", 12.0) * 3600.0;
+  options.max_variants =
+      static_cast<std::size_t>(flags.get_int("max-variants", 0));
+  options.jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
+  options.trace.chrome_path = flags.get_string("trace-out", "");
+  options.trace.jsonl_path = flags.get_string("trace-jsonl", "");
+  options.fault_spec = flags.get_string("faults", "");
+  options.fault_seed =
+      static_cast<std::uint64_t>(flags.get_int("fault-seed", 2025));
+  options.retry.max_attempts = flags.get_int("retries", 3);
+  options.retry.backoff_seconds = flags.get_double("backoff", 30.0);
+  options.journal_path = flags.get_string("journal", "");
+  options.resume = flags.get_bool("resume", false);
+  options.journal_kill_after =
+      static_cast<std::size_t>(flags.get_int("kill-after", 0));
+  options.diagnose =
+      flags.get_bool("diagnose", false) || flags.has("diagnosis-out");
+  options.metrics_footer = flags.get_bool("metrics-footer", false);
+  const std::string dispatch = flags.get_string("vm-dispatch", "auto");
+  if (!tuner::vm_dispatch_from_string(dispatch, &options.vm_dispatch)) {
+    std::cerr << "--vm-dispatch must be auto | switch | threaded "
+              << "(got '" << dispatch << "')\n";
+    return 2;
+  }
+  const std::string formats_arg = flags.get_string("formats", "");
+  if (!formats_arg.empty()) {
+    std::string bad;
+    options.formats = prec::parse_format_list(formats_arg, &bad);
+    if (options.formats.empty()) {
+      std::cerr << "--formats: unknown format '" << bad << "'\n";
       return 2;
     }
-    const std::string formats_arg = flags->get_string("formats", "");
-    if (!formats_arg.empty()) {
-      std::string bad;
-      options.formats = prec::parse_format_list(formats_arg, &bad);
-      if (options.formats.empty()) {
-        std::cerr << "--formats: unknown format '" << bad << "'\n";
-        return 2;
-      }
-    }
   }
-  const std::string metrics_out =
-      flags.is_ok() ? flags->get_string("metrics-out", "") : "";
-  const std::string diagnosis_out =
-      flags.is_ok() ? flags->get_string("diagnosis-out", "") : "";
-  const std::string census_html =
-      flags.is_ok() ? flags->get_string("census-html", "") : "";
-  const std::string server_endpoint =
-      flags.is_ok() ? flags->get_string("server", "") : "";
-  const std::string servers_arg =
-      flags.is_ok() ? flags->get_string("servers", "") : "";
-  const double hedge_ms =
-      flags.is_ok() ? flags->get_double("hedge-ms", 0.0) : 0.0;
+  const std::string metrics_out = flags.get_string("metrics-out", "");
+  const std::string diagnosis_out = flags.get_string("diagnosis-out", "");
+  const std::string census_html = flags.get_string("census-html", "");
+  const std::string server_endpoint = flags.get_string("server", "");
+  const std::string servers_arg = flags.get_string("servers", "");
+  const double hedge_ms = flags.get_double("hedge-ms", 0.0);
   std::vector<std::string> server_fleet;
   {
     std::string cur;
@@ -154,8 +148,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string model =
-      flags.is_ok() ? flags->get_string("model", "mpas") : "mpas";
+  const std::string model = flags.get_string("model", "mpas");
   if (model != "mpas" && model != "funarc") {
     std::cerr << "--model must be mpas or funarc (got '" << model << "')\n";
     return 2;
@@ -259,7 +252,7 @@ int main(int argc, char** argv) {
   if (!options.trace.jsonl_path.empty()) {
     std::cout << "wrote trace event log: " << options.trace.jsonl_path << "\n";
   }
-  // "server-stats|"-prefixed line so CI can assert warm-store hit rates
+  // "server-stats|"-prefixed line so scripts can read warm-store hit rates
   // without parsing the human-readable report.
   if (server_client != nullptr) {
     auto stats = server_client->stats_json();
@@ -269,7 +262,7 @@ int main(int argc, char** argv) {
       std::cerr << "server stats unavailable: " << stats.status().to_string()
                 << "\n";
     }
-    // "server"-prefixed (stripped by CI output diffs): degradation tallies
+    // "server"-prefixed (stripped when comparing outputs): degradation tallies
     // are transport-dependent, not part of what the campaign measured.
     std::cout << "server-degradation| fallbacks=" << s.fallbacks
               << " busy_retries=" << s.busy_retries << " hedges=" << s.hedges
@@ -280,7 +273,7 @@ int main(int argc, char** argv) {
     std::cout << "server-fleet| " << server_client->fleet_stats_json()
               << "\n";
   }
-  if (!metrics_out.empty() && options.metrics) {
+  if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
     out << obs::to_prometheus(s.metrics);
     std::cout << "metrics: wrote " << metrics_out << " ("
@@ -293,7 +286,7 @@ int main(int argc, char** argv) {
   // "vm|"-prefixed line, only when the dispatch was explicitly selected:
   // run counts differ under --resume/--server, so bit-identity diffs either
   // never see this line or strip it by prefix.
-  if (flags.is_ok() && flags->has("vm-dispatch")) {
+  if (flags.has("vm-dispatch")) {
     std::cout << "vm| dispatch=" << tuner::to_string(options.vm_dispatch)
               << " runs=" << result->vm_exec.runs
               << " instructions=" << result->vm_exec.instructions
@@ -307,8 +300,8 @@ int main(int argc, char** argv) {
               << (options.resume ? " (resumed, " : " (fresh, ")
               << result->replayed_from_journal << " evaluations replayed)\n";
   }
-  // "diag|"-prefixed lines so the CI neutrality check can diff a diagnosed
-  // run against an undiagnosed reference with the diagnosis stripped.
+  // "diag|"-prefixed lines so a diagnosed run compares against an
+  // undiagnosed reference once the diagnosis is stripped.
   if (options.diagnose) {
     std::istringstream lines(tuner::diagnosis_report(*result));
     for (std::string line; std::getline(lines, line);) {

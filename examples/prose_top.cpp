@@ -16,13 +16,13 @@
 //        --journal FILE (mutually exclusive with --http)
 //        --interval SECONDS (poll period, default 2)
 //        --frames N (stop after N polls; 0 = until the daemon goes away)
-//        --once (single sample, no screen clearing — CI-friendly)
+//        --once (single sample, no screen clearing — script-friendly)
 //        --get PATH (raw probe: print "STATUS\nBODY" for one GET and exit
-//                  with the status/100 — 2 for 200, 5 for 503. Lets CI
+//                  with the status/100 — 2 for 200, 5 for 503. Lets
 //                  scripts poll /healthz on unix sockets without curl.)
 //        --lint FILE (promtool-style check of a saved exposition page:
 //                  exit 0 on a clean page, 1 with the first problem on
-//                  stderr — the in-repo scrape validator for CI)
+//                  stderr — the in-repo scrape validator)
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -288,12 +288,10 @@ std::string render_fleet(const std::vector<std::string>& endpoints,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = CliFlags::parse(argc, argv);
-  if (!flags.is_ok()) {
-    std::cerr << flags.status().to_string() << "\n";
-    return 2;
-  }
-  if (const std::string lint = flags->get_string("lint", ""); !lint.empty()) {
+  const CliFlags flags = CliFlags::parse_or_exit(
+      argc, argv,
+      {"http", "fleet", "journal", "interval", "frames", "once", "get", "lint"});
+  if (const std::string lint = flags.get_string("lint", ""); !lint.empty()) {
     std::ifstream in(lint);
     if (!in) {
       std::cerr << "prose_top: cannot open '" << lint << "'\n";
@@ -309,21 +307,21 @@ int main(int argc, char** argv) {
     std::cout << "lint ok: " << lint << "\n";
     return 0;
   }
-  const std::string journal = flags->get_string("journal", "");
+  const std::string journal = flags.get_string("journal", "");
   if (!journal.empty()) return show_journal(journal);
 
-  if (const std::string fleet = flags->get_string("fleet", "");
+  if (const std::string fleet = flags.get_string("fleet", "");
       !fleet.empty()) {
     const std::vector<std::string> endpoints = split_list(fleet);
     if (endpoints.empty()) {
       std::cerr << "prose_top: --fleet needs at least one endpoint\n";
       return 2;
     }
-    const bool fleet_once = flags->get_bool("once", false);
-    const double fleet_interval = flags->get_double("interval", 2.0);
+    const bool fleet_once = flags.get_bool("once", false);
+    const double fleet_interval = flags.get_double("interval", 2.0);
     const std::size_t fleet_frames =
         fleet_once ? 1
-                   : static_cast<std::size_t>(flags->get_int("frames", 0));
+                   : static_cast<std::size_t>(flags.get_int("frames", 0));
     for (std::size_t frame = 1; fleet_frames == 0 || frame <= fleet_frames;
          ++frame) {
       if (!fleet_once) std::cout << "\x1b[2J\x1b[H";  // clear + home
@@ -335,13 +333,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::string endpoint = flags->get_string("http", "");
+  const std::string endpoint = flags.get_string("http", "");
   if (endpoint.empty()) {
     std::cerr << "prose_top: need --http ENDPOINT, --fleet LIST, or "
                  "--journal FILE\n";
     return 2;
   }
-  if (const std::string path = flags->get_string("get", ""); !path.empty()) {
+  if (const std::string path = flags.get_string("get", ""); !path.empty()) {
     int status = 0;
     auto body = obs::http_get(endpoint, path, &status);
     if (!body.is_ok()) {
@@ -351,12 +349,12 @@ int main(int argc, char** argv) {
     std::cout << status << "\n" << body.value();
     return status / 100;
   }
-  const bool once = flags->get_bool("once", false);
-  const double interval = flags->get_double("interval", 2.0);
+  const bool once = flags.get_bool("once", false);
+  const double interval = flags.get_double("interval", 2.0);
   const std::size_t frames = once
                                  ? 1
                                  : static_cast<std::size_t>(
-                                       flags->get_int("frames", 0));
+                                       flags.get_int("frames", 0));
 
   obs::MetricsSnapshot prev;
   bool have_prev = false;

@@ -19,7 +19,7 @@
 // Flags: --out FILE   write the merged trace (default merged_trace.json)
 //        --top N      rows in the critical-path table (default 20)
 //        --require-linked  exit 1 unless every client request is flow-linked
-//                  to a server span and at least one request exists (CI)
+//                  to a server span and at least one request exists
 //        --quiet      suppress the per-request table (summary only)
 //
 // Exit: 0 ok, 1 linkage check failed, 2 bad usage or unreadable input.
@@ -35,19 +35,17 @@
 using namespace prose;
 
 int main(int argc, char** argv) {
-  auto flags = CliFlags::parse(argc, argv);
-  if (!flags.is_ok()) {
-    std::cerr << flags.status().to_string() << "\n";
-    return 2;
-  }
-  std::vector<std::string> files = flags->positional();
-  bool require_linked = flags->get_bool("require-linked", false);
-  bool quiet = flags->get_bool("quiet", false);
+  const CliFlags flags = CliFlags::parse_or_exit(
+      argc, argv, {"out", "top", "require-linked", "quiet"},
+      /*positional_ok=*/true);
+  std::vector<std::string> files = flags.positional();
+  bool require_linked = flags.get_bool("require-linked", false);
+  bool quiet = flags.get_bool("quiet", false);
   // CliFlags treats `--flag value` as an assignment, so a boolean flag
   // written right before the file list eats the client path. Recover it:
   // a "value" that is not a boolean literal is really the first positional.
   for (const char* name : {"require-linked", "quiet"}) {
-    const std::string v = flags->get_string(name, "");
+    const std::string v = flags.get_string(name, "");
     if (!v.empty() && v != "true" && v != "false") {
       files.insert(files.begin(), v);
       (name == std::string("quiet") ? quiet : require_linked) = true;
@@ -81,7 +79,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string out_path =
-      flags->get_string("out", "merged_trace.json");
+      flags.get_string("out", "merged_trace.json");
   {
     std::ofstream out(out_path, std::ios::out | std::ios::trunc);
     out << merged->merged_json;
@@ -111,7 +109,7 @@ int main(int argc, char** argv) {
 
   if (!quiet && !merged->requests_detail.empty()) {
     const auto top =
-        static_cast<std::size_t>(flags->get_int("top", 20));
+        static_cast<std::size_t>(flags.get_int("top", 20));
     std::cout << "\nslowest requests (critical path, client timeline):\n"
               << serve::critical_path_table(*merged, top);
   }

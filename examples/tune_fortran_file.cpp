@@ -52,15 +52,14 @@ end module demo
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = CliFlags::parse(argc, argv);
-  if (!flags.is_ok()) {
-    std::cerr << flags.status().to_string() << "\n";
-    return 2;
-  }
+  const CliFlags flags = CliFlags::parse_or_exit(
+      argc, argv,
+      {"file", "entry", "scope", "hotspot", "metric-var", "threshold",
+       "noise-rsd", "algo", "samples", "seed", "csv"});
 
   tuner::TargetSpec spec;
   spec.name = "cli-target";
-  const std::string file = flags->get_string("file", "");
+  const std::string file = flags.get_string("file", "");
   if (file.empty()) {
     std::cout << "(no --file given; tuning the built-in demo kernel)\n";
     spec.source = kDemoSource;
@@ -80,28 +79,28 @@ int main(int argc, char** argv) {
     std::ostringstream buffer;
     buffer << in.rdbuf();
     spec.source = buffer.str();
-    spec.entry = flags->get_string("entry", "");
-    const std::string scope = flags->get_string("scope", "");
+    spec.entry = flags.get_string("entry", "");
+    const std::string scope = flags.get_string("scope", "");
     if (spec.entry.empty() || scope.empty()) {
       std::cerr << "--entry module::proc and --scope module are required with --file\n";
       return 2;
     }
     spec.atom_scopes = {scope};
-    const std::string hotspot = flags->get_string("hotspot", "");
+    const std::string hotspot = flags.get_string("hotspot", "");
     if (!hotspot.empty()) {
       spec.hotspot_procs = {hotspot};
     } else {
       spec.measure_whole_model = true;
     }
-    const std::string metric_var = flags->get_string("metric-var", "");
+    const std::string metric_var = flags.get_string("metric-var", "");
     if (metric_var.empty()) {
       std::cerr << "--metric-var module::var is required with --file\n";
       return 2;
     }
     spec.metric = [metric_var](const sim::Vm& vm) { return vm.get_scalar(metric_var); };
-    spec.error_threshold = flags->get_double("threshold", 1e-6);
+    spec.error_threshold = flags.get_double("threshold", 1e-6);
   }
-  spec.noise_rsd = flags->get_double("noise-rsd", 0.0);
+  spec.noise_rsd = flags.get_double("noise-rsd", 0.0);
 
   auto evaluator = tuner::Evaluator::create(spec);
   if (!evaluator.is_ok()) {
@@ -112,7 +111,7 @@ int main(int argc, char** argv) {
   std::cout << "atoms: " << ev.space().size() << ", baseline metric "
             << ev.baseline().metric << "\n";
 
-  const std::string algo = flags->get_string("algo", "dd");
+  const std::string algo = flags.get_string("algo", "dd");
   tuner::SearchResult result;
   if (algo == "brute") {
     if (ev.space().size() > 16) {
@@ -121,8 +120,8 @@ int main(int argc, char** argv) {
     }
     result = tuner::brute_force_search(ev);
   } else if (algo == "random") {
-    result = tuner::random_search(ev, flags->get_int("samples", 64),
-                                  static_cast<std::uint64_t>(flags->get_int("seed", 7)));
+    result = tuner::random_search(ev, flags.get_int("samples", 64),
+                                  static_cast<std::uint64_t>(flags.get_int("seed", 7)));
   } else if (algo == "oat") {
     result = tuner::one_at_a_time_search(ev);
   } else {
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
               << p.error << "\n";
   }
 
-  const std::string csv = flags->get_string("csv", "");
+  const std::string csv = flags.get_string("csv", "");
   if (!csv.empty()) {
     std::ofstream out(csv);
     out << tuner::variants_csv(result);

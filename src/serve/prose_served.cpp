@@ -92,37 +92,37 @@ std::vector<std::string> split_list(const std::string& arg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto flags = CliFlags::parse(argc, argv);
-  if (!flags.is_ok()) {
-    std::cerr << flags.status().to_string() << "\n";
-    return 2;
-  }
+  const CliFlags flags = CliFlags::parse_or_exit(
+      argc, argv,
+      {"socket", "endpoint", "store", "rotate-bytes", "compact-segments",
+       "peers", "replicate", "peer-timeout", "jobs", "queue", "retry-after",
+       "trace-out", "trace-jsonl", "http", "drain-grace"});
 
   serve::ServerOptions options;
-  options.endpoint = flags->get_string("endpoint", "");
+  options.endpoint = flags.get_string("endpoint", "");
   if (options.endpoint.empty()) {
-    options.endpoint = flags->get_string("socket", "/tmp/prose.sock");
+    options.endpoint = flags.get_string("socket", "/tmp/prose.sock");
   }
-  resolve_store(flags->get_string("store", ""), &options);
-  if (const int rotate = flags->get_int("rotate-bytes", 0); rotate > 0) {
+  resolve_store(flags.get_string("store", ""), &options);
+  if (const int rotate = flags.get_int("rotate-bytes", 0); rotate > 0) {
     options.store_options.rotate_bytes = static_cast<std::size_t>(rotate);
   }
-  if (const int compact = flags->get_int("compact-segments", 0);
+  if (const int compact = flags.get_int("compact-segments", 0);
       compact > 0) {
     options.store_options.compact_over_segments =
         static_cast<std::size_t>(compact);
   }
-  options.peers = split_list(flags->get_string("peers", ""));
-  options.replicate = static_cast<std::size_t>(flags->get_int("replicate", 2));
-  options.peer_timeout_seconds = flags->get_double("peer-timeout", 5.0);
-  options.jobs = static_cast<std::size_t>(flags->get_int("jobs", 0));
+  options.peers = split_list(flags.get_string("peers", ""));
+  options.replicate = static_cast<std::size_t>(flags.get_int("replicate", 2));
+  options.peer_timeout_seconds = flags.get_double("peer-timeout", 5.0);
+  options.jobs = static_cast<std::size_t>(flags.get_int("jobs", 0));
   options.queue_capacity =
-      static_cast<std::size_t>(flags->get_int("queue", 256));
-  options.retry_after_seconds = flags->get_double("retry-after", 0.05);
-  options.trace.chrome_path = flags->get_string("trace-out", "");
-  options.trace.jsonl_path = flags->get_string("trace-jsonl", "");
-  options.http_endpoint = flags->get_string("http", "");
-  options.drain_grace_seconds = flags->get_double("drain-grace", 0.0);
+      static_cast<std::size_t>(flags.get_int("queue", 256));
+  options.retry_after_seconds = flags.get_double("retry-after", 0.05);
+  options.trace.chrome_path = flags.get_string("trace-out", "");
+  options.trace.jsonl_path = flags.get_string("trace-jsonl", "");
+  options.http_endpoint = flags.get_string("http", "");
+  options.drain_grace_seconds = flags.get_double("drain-grace", 0.0);
 
   // Block the shutdown signals before any thread exists so every thread
   // inherits the mask and sigwait below is the only consumer.

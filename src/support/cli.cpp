@@ -1,6 +1,8 @@
 #include "support/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <iostream>
 
 #include "support/strings.h"
 
@@ -36,6 +38,28 @@ StatusOr<CliFlags> CliFlags::parse(int argc, const char* const* argv) {
     }
   }
   return flags;
+}
+
+CliFlags CliFlags::parse_or_exit(int argc, const char* const* argv,
+                                 std::initializer_list<std::string_view> known,
+                                 bool positional_ok) {
+  const auto usage_error = [&](const std::string& what) {
+    std::cerr << argv[0] << ": " << what << "\nflags:";
+    for (const std::string_view flag : known) std::cerr << " --" << flag;
+    std::cerr << "\n";
+    std::exit(2);
+  };
+  auto flags = parse(argc, argv);
+  if (!flags.is_ok()) usage_error(flags.status().to_string());
+  for (const std::string& name : flags->names()) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      usage_error("unknown flag --" + name);
+    }
+  }
+  if (!positional_ok && !flags->positional().empty()) {
+    usage_error("unexpected argument '" + flags->positional().front() + "'");
+  }
+  return std::move(flags.value());
 }
 
 std::vector<std::string> CliFlags::names() const {

@@ -1,13 +1,15 @@
 // Minimal command-line flag parsing for the bench and example binaries.
 //
 // Supports `--name=value`, `--name value`, and boolean `--name` /
-// `--no-name`. Unknown flags are reported rather than ignored so bench
-// invocations stay honest.
+// `--no-name`. parse_or_exit() reports unknown flags rather than ignoring
+// them, so invocations stay honest.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/status.h"
@@ -19,6 +21,14 @@ class CliFlags {
   /// Parses argv (excluding argv[0]); positional arguments are collected in
   /// order. Flags may be declared implicitly by first use of a getter.
   static StatusOr<CliFlags> parse(int argc, const char* const* argv);
+
+  /// parse() for a binary's main: a malformed argument, a flag not in
+  /// `known`, or (unless `positional_ok`) a positional argument prints what
+  /// was wrong and the known flags, then exits with status 2. A binary must
+  /// never quietly run a configuration other than the one asked for.
+  static CliFlags parse_or_exit(int argc, const char* const* argv,
+                                std::initializer_list<std::string_view> known,
+                                bool positional_ok = false);
 
   [[nodiscard]] bool has(const std::string& name) const;
 
