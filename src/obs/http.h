@@ -64,7 +64,7 @@ class HttpServer {
 };
 
 /// Blocking HTTP GET against an HttpServer-style endpoint (the prose_top
-/// scrape path and the CI smoke checks — no curl dependency in tests).
+/// scrape path and the serve tests — no curl dependency in tests).
 /// Returns the response body; *status_code (optional) gets the HTTP status.
 StatusOr<std::string> http_get(const std::string& endpoint,
                                const std::string& path,

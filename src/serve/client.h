@@ -123,7 +123,7 @@ class ServeClient : public tuner::EvalBackend {
       std::span<const tuner::Config> configs,
       std::span<const std::uint64_t> streams) override;
 
-  /// The first live shard's stats_ok payload (raw JSON) — CI and bench
+  /// The first live shard's stats_ok payload (raw JSON) — script and bench
   /// introspection.
   StatusOr<std::string> stats_json();
 
@@ -231,7 +231,7 @@ class ServeClient : public tuner::EvalBackend {
   mutable std::mutex mu_;  // one request/response conversation at a time
 };
 
-/// One-shot stats query over a fresh connection (no hello needed) — lets CI
+/// One-shot stats query over a fresh connection (no hello needed) — lets
 /// scripts and operators poll a daemon without standing up a campaign.
 /// `timeout_seconds` bounds connect and read (a SIGSTOPped daemon yields
 /// kDeadlineExceeded, not a hang); <= 0 waits forever.

@@ -23,7 +23,7 @@
 // handled it (by trace-id, confirmed by flow-id derivation — the server span
 // id is a pure function of the client's flow id, see TraceContext), and the
 // server-side queue / execute / store / replicate child spans are summed
-// into a breakdown the prose_trace tool prints and CI asserts against.
+// into a breakdown the prose_trace tool prints and the tests assert against.
 //
 // Pure observability, pure read side: inputs are files a finished run left
 // behind; nothing here touches the wire or the campaign.

@@ -46,7 +46,7 @@ struct TraceMetrics {
 std::string json_escape(std::string_view s);
 
 /// Minimal JSON syntax validator (objects, arrays, strings, numbers,
-/// true/false/null). Used by tests and the CI trace-file check; not a full
+/// true/false/null). Used by the trace tests; not a full
 /// parser — it only answers "would a JSON parser accept this text?".
 bool validate_json(std::string_view text, std::string* error = nullptr);
 

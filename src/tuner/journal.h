@@ -140,7 +140,7 @@ class Journal {
 
   /// Chaos-testing knob: raise SIGKILL immediately after the Nth variant
   /// record of this process is made durable — a deterministic mid-campaign
-  /// crash for the resume tests and the CI chaos job. 0 disables.
+  /// crash for the kill/resume process test. 0 disables.
   void set_kill_after_variants(std::size_t n);
 
  private:
