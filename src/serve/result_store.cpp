@@ -1,18 +1,5 @@
 #include "serve/result_store.h"
 
-#include <dirent.h>
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
 #include "serve/wire.h"
 #include "support/json.h"
 #include "support/strings.h"
@@ -23,63 +10,8 @@ namespace {
 
 constexpr const char* kHeaderLine = "{\"type\":\"prose-store\",\"format\":1}\n";
 
-void (*g_crash_hook)(const char*) = nullptr;
-
-/// Test seam: crash tests SIGKILL themselves here to pin what each cut point
-/// leaves on disk. Free in production (null check on a cold path).
-void crash_point(const char* point) {
-  if (g_crash_hook != nullptr) g_crash_hook(point);
-}
-
-std::string segment_header(std::size_t index) {
-  return "{\"type\":\"prose-store\",\"format\":2,\"segment\":" +
-         std::to_string(index) + "}\n";
-}
-
-std::string segment_name(std::size_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "seg-%06zu.jsonl", index);
-  return buf;
-}
-
-/// "seg-NNNNNN.jsonl" → index. Anything else (including stray digits or a
-/// different width) is not a segment and is left alone.
-bool parse_segment_name(const std::string& name, std::size_t* index) {
-  constexpr std::string_view prefix = "seg-";
-  constexpr std::string_view suffix = ".jsonl";
-  if (name.size() != prefix.size() + 6 + suffix.size()) return false;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  if (name.compare(prefix.size() + 6, suffix.size(), suffix) != 0) return false;
-  std::size_t v = 0;
-  for (std::size_t i = prefix.size(); i < prefix.size() + 6; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + static_cast<std::size_t>(c - '0');
-  }
-  *index = v;
-  return true;
-}
-
-Status sys_error(const std::string& what) {
-  return Status(StatusCode::kRuntimeFault, what + ": " + std::strerror(errno));
-}
-
-/// fsync on the directory itself — what makes a rename or unlink durable.
-Status fsync_dir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return sys_error("open dir '" + dir + "'");
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok ? Status::ok() : sys_error("fsync dir '" + dir + "'");
-}
-
-std::string read_file_text(const std::string& path) {
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in) return {};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
+/// Segments add their own "segment" index to this header.
+constexpr const char* kSegmentHeader = "{\"type\":\"prose-store\",\"format\":2}";
 
 /// One result as one store line. Shared by insert() and compact() so the
 /// compacted generation is byte-compatible with the appended one.
@@ -95,30 +27,7 @@ void append_record_line(std::string& out, std::uint64_t digest,
   out += "}\n";
 }
 
-Status write_all(int fd, std::string_view data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return sys_error("write");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return Status::ok();
-}
-
 }  // namespace
-
-ResultStore::~ResultStore() {
-  std::lock_guard lock(mu_);
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
-
-void ResultStore::set_crash_hook(void (*hook)(const char* point)) {
-  g_crash_hook = hook;
-}
 
 std::uint64_t ResultStore::content_key(std::uint64_t ns, const std::string& key,
                                        std::uint64_t stream) {
@@ -130,10 +39,10 @@ std::uint64_t ResultStore::content_key(std::uint64_t ns, const std::string& key,
   return fnv1a64(c);
 }
 
-bool ResultStore::insert_in_memory(std::uint64_t ns, const std::string& key,
+bool ResultStore::insert_in_memory(std::uint64_t digest, std::uint64_t ns,
+                                   const std::string& key,
                                    std::uint64_t stream,
                                    const tuner::Evaluation& eval) {
-  const std::uint64_t digest = content_key(ns, key, stream);
   auto& bucket = by_digest_[digest];
   for (const Record& rec : bucket) {
     if (rec.ns == ns && rec.stream == stream && rec.key == key) return false;
@@ -143,221 +52,61 @@ bool ResultStore::insert_in_memory(std::uint64_t ns, const std::string& key,
   return true;
 }
 
-StatusOr<std::size_t> ResultStore::load_segment_text(
-    const std::string& text, const std::string& display_path,
-    long expect_segment) {
-  // Recover the longest valid line-prefix, exactly like journal recovery: a
-  // line without '\n' is torn (the crash interrupted the write), a complete
-  // line that does not parse marks the end of trustworthy data.
-  std::size_t valid_bytes = 0;
-  bool first = true;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn trailing record
-    const std::string_view line(text.data() + pos, nl - pos);
-    if (!line.empty()) {
-      auto parsed = json::parse(line);
-      if (!parsed.is_ok()) {
-        if (first) {
-          return Status(StatusCode::kInvalidArgument,
-                        "'" + display_path +
-                            "' does not start with a prose-store header — "
-                            "refusing to treat it as a result store");
-        }
-        break;  // corrupt record: keep the prefix before it
-      }
-      const json::Value& v = parsed.value();
-      const std::string type =
-          v.find("type") != nullptr ? v.find("type")->str_or("") : "";
-      if (first) {
-        if (type != "prose-store") {
-          return Status(StatusCode::kInvalidArgument,
-                        "'" + display_path +
-                            "' does not start with a prose-store header — "
-                            "refusing to treat it as a result store");
-        }
-        if (expect_segment >= 0) {
-          const json::Value* seg = v.find("segment");
-          const long named = seg != nullptr
-                                 ? static_cast<long>(seg->int_or(-1))
-                                 : -1;
-          if (named != expect_segment) {
-            return Status(
-                StatusCode::kInvalidArgument,
-                "'" + display_path + "' header names segment " +
-                    std::to_string(named) + ", not " +
-                    std::to_string(expect_segment) +
-                    " — refusing a copied or spliced segment file");
-          }
-        }
-        first = false;
-      } else if (type == "result") {
-        std::uint64_t ns = 0;
-        const json::Value* ns_v = v.find("ns");
-        const json::Value* key_v = v.find("key");
-        if (ns_v == nullptr || key_v == nullptr ||
-            !parse_digest_hex(ns_v->str_or(""), &ns) || !key_v->is_string()) {
-          break;
-        }
-        const std::uint64_t stream = static_cast<std::uint64_t>(
-            v.find("stream") != nullptr ? v.find("stream")->int_or(0) : 0);
-        auto eval = tuner::evaluation_from_json(v);
-        if (!eval.is_ok()) break;
-        // Duplicates across segments (a crash between compaction's rename
-        // and unlink leaves two generations) dedup here.
-        insert_in_memory(ns, key_v->str_or(""), stream, eval.value());
-      }
-      // Unknown record types are informational — skipped, prefix stays valid.
+record_log::Schema ResultStore::schema() {
+  record_log::Schema schema;
+  schema.header_type = "prose-store";
+  schema.noun = "result store";
+  schema.accept_record = [this](const json::Value& v) {
+    const json::Value* type = v.find("type");
+    if (type == nullptr || type->str_or("") != "result") return true;
+    std::uint64_t ns = 0;
+    const json::Value* ns_v = v.find("ns");
+    const json::Value* key_v = v.find("key");
+    if (ns_v == nullptr || key_v == nullptr ||
+        !parse_digest_hex(ns_v->str_or(""), &ns) || !key_v->is_string()) {
+      return false;
     }
-    pos = nl + 1;
-    valid_bytes = pos;
-  }
-  return valid_bytes;
+    const std::string key = key_v->str_or("");
+    const auto stream = static_cast<std::uint64_t>(
+        v.find("stream") != nullptr ? v.find("stream")->int_or(0) : 0);
+    auto eval = tuner::evaluation_from_json(v);
+    if (!eval.is_ok()) return false;
+    // Duplicates across segments (a crash between compaction's rename and
+    // unlink leaves two generations) dedup here.
+    insert_in_memory(content_key(ns, key, stream), ns, key, stream,
+                     eval.value());
+    return true;
+  };
+  return schema;
 }
 
 StatusOr<std::unique_ptr<ResultStore>> ResultStore::open(
     const std::string& path) {
   auto store = std::make_unique<ResultStore>();
   store->path_ = path;
-
-  const std::string text = read_file_text(path);
-  auto valid = store->load_segment_text(text, path, /*expect_segment=*/-1);
+  auto valid = record_log::recover_file(path, store->schema());
   if (!valid.is_ok()) return valid.status();
-  const std::size_t valid_bytes = valid.value();
   store->recovered_ = store->count_;
-
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-  if (fd < 0) {
-    return Status(StatusCode::kInvalidArgument, "cannot open store '" + path +
-                                                    "': " + std::strerror(errno));
-  }
-  if (::ftruncate(fd, static_cast<off_t>(valid_bytes)) != 0 ||
-      ::lseek(fd, 0, SEEK_END) < 0) {
-    const Status s = Status(StatusCode::kRuntimeFault,
-                            "cannot truncate store '" + path +
-                                "': " + std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  store->fd_ = fd;
-  if (valid_bytes == 0) {
-    const std::size_t n = std::strlen(kHeaderLine);
-    if (::write(fd, kHeaderLine, n) != static_cast<ssize_t>(n) ||
-        ::fsync(fd) != 0) {
-      const Status s = Status(StatusCode::kRuntimeFault,
-                              "cannot write store header '" + path +
-                                  "': " + std::strerror(errno));
-      ::close(fd);
-      store->fd_ = -1;
-      return s;
-    }
-  }
+  auto file = record_log::File::open(path, valid.value(), kHeaderLine);
+  if (!file.is_ok()) return file.status();
+  store->file_ = std::move(file).value();
   return store;
 }
 
 StatusOr<std::unique_ptr<ResultStore>> ResultStore::open_dir(
     const std::string& dir, const StoreOptions& options) {
-  struct stat st{};
-  if (::stat(dir.c_str(), &st) == 0) {
-    if (!S_ISDIR(st.st_mode)) {
-      return Status(StatusCode::kInvalidArgument,
-                    "'" + dir + "' exists and is not a directory");
-    }
-  } else if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
-    return sys_error("mkdir '" + dir + "'");
-  }
-
-  std::vector<std::size_t> indices;
-  std::vector<std::string> stale_tmp;
-  {
-    DIR* d = ::opendir(dir.c_str());
-    if (d == nullptr) return sys_error("opendir '" + dir + "'");
-    while (dirent* e = ::readdir(d)) {
-      const std::string name = e->d_name;
-      std::size_t index = 0;
-      if (parse_segment_name(name, &index)) {
-        indices.push_back(index);
-      } else if (name.size() > 4 &&
-                 name.compare(name.size() - 4, 4, ".tmp") == 0) {
-        stale_tmp.push_back(name);  // interrupted compaction, never renamed
-      }
-    }
-    ::closedir(d);
-  }
-  for (const std::string& name : stale_tmp) {
-    ::unlink((dir + "/" + name).c_str());
-  }
-  std::sort(indices.begin(), indices.end());
-
   auto store = std::make_unique<ResultStore>();
   store->path_ = dir;
-  store->dir_ = dir;
-  store->rotate_bytes_ = options.rotate_bytes;
-
-  std::size_t active_valid_bytes = 0;
-  for (std::size_t i = 0; i < indices.size(); ++i) {
-    const std::string path = dir + "/" + segment_name(indices[i]);
-    auto valid = store->load_segment_text(read_file_text(path), path,
-                                          static_cast<long>(indices[i]));
-    if (!valid.is_ok()) return valid.status();
-    if (i + 1 == indices.size()) active_valid_bytes = valid.value();
-  }
+  auto log = record_log::SegmentedLog::open(dir, store->schema(),
+                                            kSegmentHeader,
+                                            options.rotate_bytes);
+  if (!log.is_ok()) return log.status();
   store->recovered_ = store->count_;
-  store->segments_ = indices;
-
-  if (indices.empty()) {
-    // Fresh store: segment 0 with just a header.
-    const std::string path = dir + "/" + segment_name(0);
-    const std::string header = segment_header(0);
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) return sys_error("cannot create '" + path + "'");
-    Status s = write_all(fd, header);
-    if (s.is_ok() && ::fsync(fd) != 0) s = sys_error("fsync '" + path + "'");
-    if (s.is_ok()) s = fsync_dir(dir);
-    if (!s.is_ok()) {
-      ::close(fd);
-      return s;
-    }
-    store->fd_ = fd;
-    store->segments_ = {0};
-    store->active_bytes_ = header.size();
-  } else {
-    // Re-open the active (highest) segment for append, truncating a torn
-    // tail. Earlier segments are never truncated — they were fsync'd whole
-    // before the next segment existed; their recovered prefix is advisory.
-    const std::size_t active = indices.back();
-    const std::string path = dir + "/" + segment_name(active);
-    const int fd = ::open(path.c_str(), O_WRONLY, 0644);
-    if (fd < 0) return sys_error("cannot open '" + path + "'");
-    if (::ftruncate(fd, static_cast<off_t>(active_valid_bytes)) != 0 ||
-        ::lseek(fd, 0, SEEK_END) < 0) {
-      const Status s = sys_error("cannot truncate '" + path + "'");
-      ::close(fd);
-      return s;
-    }
-    store->fd_ = fd;
-    store->active_bytes_ = active_valid_bytes;
-    if (active_valid_bytes == 0) {
-      // The segment file exists but its header never became durable (crash
-      // inside rotation, before fsync): rewrite it.
-      const std::string header = segment_header(active);
-      Status s = write_all(fd, header);
-      if (s.is_ok() && ::fsync(fd) != 0) s = sys_error("fsync '" + path + "'");
-      if (!s.is_ok()) {
-        ::close(fd);
-        store->fd_ = -1;
-        return s;
-      }
-      store->active_bytes_ = header.size();
-    }
-  }
-
+  store->segments_ = std::move(log).value();
   if (options.compact_over_segments > 0 &&
-      store->segments_.size() > options.compact_over_segments) {
+      store->segments_->segment_count() > options.compact_over_segments) {
     std::lock_guard lock(store->mu_);
-    const Status s = store->compact_locked();
-    if (!s.is_ok()) return s;
+    if (const Status s = store->compact_locked(); !s.is_ok()) return s;
   }
   return store;
 }
@@ -377,108 +126,29 @@ bool ResultStore::lookup(std::uint64_t ns, const std::string& key,
   return false;
 }
 
-void ResultStore::degrade_locked(const std::string& what) {
+void ResultStore::degrade_locked(const Status& why) {
   error_ = Status(StatusCode::kRuntimeFault,
-                  what + " ('" + path_ + "'): " + std::strerror(errno) +
-                      " — continuing memory-only");
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
-
-Status ResultStore::rotate_locked() {
-  const std::size_t next = segments_.back() + 1;
-  const std::string path = dir_ + "/" + segment_name(next);
-  const std::string header = segment_header(next);
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return sys_error("cannot create '" + path + "'");
-  Status s = write_all(fd, header);
-  crash_point("rotate.written");
-  if (s.is_ok() && ::fsync(fd) != 0) s = sys_error("fsync '" + path + "'");
-  crash_point("rotate.synced");
-  if (s.is_ok()) s = fsync_dir(dir_);
-  crash_point("rotate.dir_synced");
-  if (!s.is_ok()) {
-    ::close(fd);
-    ::unlink(path.c_str());
-    return s;
-  }
-  ::close(fd_);
-  fd_ = fd;
-  segments_.push_back(next);
-  active_bytes_ = header.size();
-  return Status::ok();
+                  "store: " + why.message() + " — continuing memory-only");
+  file_.close();
+  segments_.reset();
 }
 
 Status ResultStore::compact_locked() {
-  if (dir_.empty() || fd_ < 0) {
+  if (!segments_) {
     return Status(StatusCode::kInvalidArgument,
                   "compaction requires a healthy segmented store");
   }
-  if (segments_.size() == 1 && count_ == recovered_ && recovered_ == 0) {
+  if (segments_->segment_count() == 1 && count_ == 0) {
     return Status::ok();  // nothing to fold
   }
-  const std::size_t next = segments_.back() + 1;
-
-  // 1. Write the whole new generation into a .tmp the recovery scan ignores.
-  std::string content = segment_header(next);
+  std::string records;
   for (const auto& [digest, bucket] : by_digest_) {
     for (const Record& rec : bucket) {
-      append_record_line(content, digest, rec.ns, rec.key, rec.stream,
+      append_record_line(records, digest, rec.ns, rec.key, rec.stream,
                          rec.eval);
     }
   }
-  const std::string tmp = dir_ + "/" + segment_name(next) + ".tmp";
-  const std::string path = dir_ + "/" + segment_name(next);
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return sys_error("cannot create '" + tmp + "'");
-  Status s = write_all(fd, content);
-  crash_point("compact.tmp_written");
-  if (s.is_ok() && ::fsync(fd) != 0) s = sys_error("fsync '" + tmp + "'");
-  crash_point("compact.tmp_synced");
-  if (!s.is_ok()) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return s;
-  }
-
-  // 2. Atomically promote it to a real segment. From this instant recovery
-  // reads both generations and dedups; before it, only the old one.
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status r = sys_error("rename '" + tmp + "'");
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return r;
-  }
-  crash_point("compact.renamed");
-  s = fsync_dir(dir_);
-  crash_point("compact.dir_synced");
-
-  // 3. Only now retire the old generation. A crash mid-unlink leaves some
-  // old segments plus the compacted one — duplicates, never loss.
-  const std::vector<std::size_t> old = segments_;
-  for (const std::size_t index : old) {
-    ::unlink((dir_ + "/" + segment_name(index)).c_str());
-    crash_point("compact.unlinked");
-  }
-  if (s.is_ok()) s = fsync_dir(dir_);
-  if (!s.is_ok()) {
-    ::close(fd);
-    return s;
-  }
-
-  ::close(fd_);
-  // Re-open for append (the compaction fd's offset is already at the end,
-  // but a fresh O_APPEND fd keeps the invariant obvious).
-  ::close(fd);
-  fd = ::open(path.c_str(), O_WRONLY | O_APPEND, 0644);
-  if (fd < 0) {
-    fd_ = -1;
-    return sys_error("cannot reopen '" + path + "'");
-  }
-  fd_ = fd;
-  segments_ = {next};
-  active_bytes_ = content.size();
-  return Status::ok();
+  return segments_->compact(records);
 }
 
 Status ResultStore::compact() {
@@ -491,44 +161,16 @@ std::size_t ResultStore::insert(std::uint64_t ns, const std::string& key,
                                 const tuner::Evaluation& eval) {
   const std::uint64_t digest = content_key(ns, key, stream);
   std::lock_guard lock(mu_);
-  {
-    const auto it = by_digest_.find(digest);
-    if (it != by_digest_.end()) {
-      for (const Record& rec : it->second) {
-        if (rec.ns == ns && rec.stream == stream && rec.key == key) return 0;
-      }
-    }
-  }
-
-  std::size_t appended = 0;
-  if (fd_ >= 0) {
-    std::string line;
-    append_record_line(line, digest, ns, key, stream, eval);
-    if (!dir_.empty() && active_bytes_ + line.size() > rotate_bytes_ &&
-        active_bytes_ > segment_header(segments_.back()).size()) {
-      // Rotate before the record so a segment always holds at least one.
-      if (const Status s = rotate_locked(); !s.is_ok()) {
-        degrade_locked("store rotation failed");
-      }
-    }
-    if (fd_ >= 0) {
-      // One write() per record: a crash leaves at most one torn line, which
-      // recovery drops. fsync before the record becomes visible — a result a
-      // client was told is stored must survive kill -9.
-      if (::write(fd_, line.data(), line.size()) !=
-              static_cast<ssize_t>(line.size()) ||
-          ::fsync(fd_) != 0) {
-        degrade_locked("store write failed");
-      } else {
-        appended = line.size();
-        active_bytes_ += line.size();
-      }
-    }
-  }
-
-  by_digest_[digest].push_back(Record{ns, key, stream, eval});
-  ++count_;
-  return appended;
+  // The lock is held until the record is durable, so no lookup sees it
+  // earlier: a result a client was told is stored must survive kill -9.
+  if (!insert_in_memory(digest, ns, key, stream, eval)) return 0;
+  if (!file_.is_open() && !segments_) return 0;
+  std::string line;
+  append_record_line(line, digest, ns, key, stream, eval);
+  const Status s = segments_ ? segments_->append(line) : file_.append(line);
+  if (s.is_ok()) return line.size();
+  degrade_locked(s);
+  return 0;
 }
 
 std::size_t ResultStore::records() const {
@@ -538,8 +180,8 @@ std::size_t ResultStore::records() const {
 
 std::size_t ResultStore::segment_count() const {
   std::lock_guard lock(mu_);
-  if (fd_ < 0) return 0;
-  return dir_.empty() ? 1 : segments_.size();
+  if (segments_) return segments_->segment_count();
+  return file_.is_open() ? 1 : 0;
 }
 
 Status ResultStore::error() const {

@@ -1,44 +1,32 @@
 // Persistent, content-addressed store of evaluation results.
 //
-// An append-only record log, one fsync'd JSON line per result, keyed by the
-// FNV-1a digest of (result namespace ‖ config key ‖ noise stream). The
-// encoding is the journal's (tuner/eval_codec): %.17g doubles with
-// Infinity/-Infinity/NaN tokens, so a stored result round-trips bit-exact —
-// a campaign served from the store journals the same bytes a local run
-// would have computed.
+// One fsync'd JSON line per result, keyed by the FNV-1a digest of (result
+// namespace ‖ config key ‖ noise stream). The encoding is the journal's
+// (tuner/eval_codec): %.17g doubles with Infinity/-Infinity/NaN tokens, so a
+// stored result round-trips bit-exact — a campaign served from the store
+// journals the same bytes a local run would have computed.
 //
-// Two on-disk layouts behind one interface:
+// support/record_log alone defines how the store is recovered, appended,
+// rotated and compacted. Two on-disk layouts behind one interface:
 //
 //   open(path)     — legacy single file, format-1 header, grows forever.
-//   open_dir(dir)  — a directory of numbered segments (seg-000000.jsonl,
-//                    seg-000001.jsonl, ...), each starting with a format-2
-//                    header that names its own index. The highest segment is
-//                    active; when it exceeds rotate_bytes a fresh one is
-//                    started. compact() rewrites every live record into one
-//                    new segment — written to a .tmp, fsync'd, atomically
-//                    renamed, directory fsync'd — and only then unlinks the
-//                    old segments, so a kill -9 at ANY instant leaves either
-//                    the old segments, both generations (duplicates dedup on
-//                    load), or the compacted one: never less than what was
-//                    acknowledged.
-//
-// Crash consistency follows the write-ahead journal's discipline: each
-// record is one line, written with a single write() and fsync'd before
-// insert() returns; on open the longest valid line-prefix of each segment is
-// kept and anything after the first torn or corrupt line is dropped. A file
-// whose first complete line is not the expected prose-store header is
-// refused — open() never truncates somebody else's file, and a segment whose
-// header names a different index than its filename (a copied or spliced
-// file) is refused the same way.
+//   open_dir(dir)  — a record_log::SegmentedLog of format-2 segments
+//                    (seg-000000.jsonl, ...), each header naming its own
+//                    index. The active segment rotates past rotate_bytes;
+//                    compact() folds every live record into one new
+//                    segment. Duplicates that a crash mid-compaction leaves
+//                    behind dedup on load, so nothing acknowledged is lost.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "support/record_log.h"
 #include "support/status.h"
 #include "tuner/evaluator.h"
 
@@ -60,7 +48,6 @@ class ResultStore {
   /// In-memory only store (no persistence) — the server's mode when started
   /// without --store.
   ResultStore() = default;
-  ~ResultStore();
 
   ResultStore(const ResultStore&) = delete;
   ResultStore& operator=(const ResultStore&) = delete;
@@ -69,11 +56,9 @@ class ResultStore {
   /// the valid record prefix. Fails on a foreign file or an unwritable path.
   static StatusOr<std::unique_ptr<ResultStore>> open(const std::string& path);
 
-  /// Opens (creating if absent) the segmented store in directory `dir`.
-  /// Recovers every segment in index order (dedup makes re-reading a
-  /// half-compacted generation harmless), deletes stray .tmp files from an
-  /// interrupted compaction, and truncates a torn tail off the active
-  /// segment only.
+  /// Opens (creating if absent) the segmented store in directory `dir`
+  /// (record_log::SegmentedLog::open); dedup makes re-reading a
+  /// half-compacted generation harmless.
   static StatusOr<std::unique_ptr<ResultStore>> open_dir(
       const std::string& dir, const StoreOptions& options = StoreOptions{});
 
@@ -91,8 +76,8 @@ class ResultStore {
                      std::uint64_t stream, const tuner::Evaluation& eval);
 
   /// Rewrites all live records into one fresh segment and unlinks the old
-  /// ones (segmented stores only). Safe against kill -9 at any point; see
-  /// the file comment for the ordering. Thread-safe.
+  /// ones (segmented stores only). Safe against kill -9 at any point.
+  /// Thread-safe.
   Status compact();
 
   /// Results currently resident (recovered + inserted).
@@ -109,14 +94,6 @@ class ResultStore {
   static std::uint64_t content_key(std::uint64_t ns, const std::string& key,
                                    std::uint64_t stream);
 
-  /// Test-only: invoked at named cut points inside rotation and compaction
-  /// ("rotate.synced", "compact.tmp_synced", "compact.renamed", ...). Crash
-  /// tests fork, install a hook that raises SIGKILL at one point, run the
-  /// operation, then reopen in the parent and check nothing acknowledged was
-  /// lost. Null (the default) disables it. Process-global; not for
-  /// production use.
-  static void set_crash_hook(void (*hook)(const char* point));
-
  private:
   struct Record {
     std::uint64_t ns = 0;
@@ -125,31 +102,23 @@ class ResultStore {
     tuner::Evaluation eval;
   };
 
-  /// Appends one segment file's worth of records onto *this; returns the
-  /// byte offset of the valid prefix, or an error on a foreign header.
-  /// `expect_segment` >= 0 requires a format-2 header naming that index.
-  StatusOr<std::size_t> load_segment_text(const std::string& text,
-                                          const std::string& display_path,
-                                          long expect_segment);
-  bool insert_in_memory(std::uint64_t ns, const std::string& key,
-                        std::uint64_t stream, const tuner::Evaluation& eval);
-  Status rotate_locked();
+  /// Recovery of either layout: indexes every "result" record.
+  record_log::Schema schema();
+  bool insert_in_memory(std::uint64_t digest, std::uint64_t ns,
+                        const std::string& key, std::uint64_t stream,
+                        const tuner::Evaluation& eval);
   Status compact_locked();
-  void degrade_locked(const std::string& what);
+  void degrade_locked(const Status& why);
 
   /// Full-record equality check guards against content_key collisions: a
   /// lookup matches only on (ns, key, stream), never on the digest alone.
   std::unordered_map<std::uint64_t, std::vector<Record>> by_digest_;
   std::size_t count_ = 0;
   std::size_t recovered_ = 0;
-  int fd_ = -1;  // -1 = memory-only (never opened, or degraded)
   std::string path_;
-
-  // Segmented-mode state (dir_.empty() = single-file or memory-only).
-  std::string dir_;
-  std::vector<std::size_t> segments_;  // live segment indices, ascending
-  std::size_t active_bytes_ = 0;       // current size of the active segment
-  std::size_t rotate_bytes_ = 0;
+  // Both closed = memory-only (never opened, or degraded).
+  record_log::File file_;                             // open(path)
+  std::optional<record_log::SegmentedLog> segments_;  // open_dir(dir)
 
   Status error_ = Status::ok();
   mutable std::mutex mu_;

@@ -1,19 +1,10 @@
 #include "tuner/journal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "support/json.h"
-#include "support/trace.h"
 #include "tuner/eval_codec.h"
 
 namespace prose::tuner {
@@ -38,7 +29,7 @@ std::string header_line(const JournalHeader& h) {
   // Omitted entirely for the legacy two-level lattice, keeping those journal
   // bytes identical to every release before the k-level search existed.
   if (!h.formats.empty()) line += ",\"formats\":" + quoted(h.formats);
-  line += "}";
+  line += "}\n";
   return line;
 }
 
@@ -130,143 +121,62 @@ std::string JournalHeader::mismatch(const JournalHeader& other) const {
 
 StatusOr<JournalData> Journal::load(const std::string& path) {
   JournalData data;
-  std::ifstream in(path, std::ios::in | std::ios::binary);
-  if (!in) return data;  // missing file: fresh start
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  if (text.empty()) return data;
-
-  std::size_t pos = 0;
-  bool first = true;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) break;  // partial trailing record: stop
-    const std::string_view line(text.data() + pos, nl - pos);
-    if (!line.empty()) {
-      auto parsed = json::parse(line);
-      if (!parsed.is_ok()) {
-        if (first) {
-          // A journal's first line is one fsync'd header record; a torn
-          // header never gains a newline. A *complete* first line that is
-          // not JSON means this is somebody else's file — refuse before
-          // open() would truncate it.
-          return Status(StatusCode::kInvalidArgument,
-                        "'" + path +
-                            "' does not start with a campaign header — "
-                            "refusing to treat it as a journal");
-        }
-        break;  // corrupt record: keep the prefix before it
-      }
-      const json::Value& v = parsed.value();
-      const std::string type =
-          v.find("type") != nullptr ? v.find("type")->str_or("") : "";
-      if (first) {
-        if (type != "campaign") {
-          return Status(StatusCode::kInvalidArgument,
-                        "'" + path +
-                            "' does not start with a campaign header — "
-                            "refusing to treat it as a journal");
-        }
-        auto header = parse_header(v);
-        if (!header.is_ok()) return header.status();
-        data.header = std::move(header.value());
-        data.has_header = true;
-        first = false;
-      } else if (type == "variant") {
-        auto variant = parse_variant(v);
-        if (!variant.is_ok()) break;  // corrupt record: stop at the prefix
-        data.variants.push_back(std::move(variant.value()));
-      }
-      // "batch" markers (and unknown record types) are informational.
-    }
-    pos = nl + 1;
-    data.valid_bytes = pos;
-  }
-  if (!data.has_header && data.valid_bytes > 0) {
-    return Status(StatusCode::kInvalidArgument,
-                  "'" + path + "' has records but no campaign header");
-  }
+  record_log::Schema schema;
+  schema.header_type = "campaign";
+  schema.noun = "journal";
+  schema.accept_header = [&data](const json::Value& v) -> Status {
+    auto header = parse_header(v);
+    if (!header.is_ok()) return header.status();
+    data.header = std::move(header.value());
+    data.has_header = true;
+    return Status::ok();
+  };
+  schema.accept_record = [&data](const json::Value& v) {
+    // "batch", "diag" and "metrics" records are informational.
+    const json::Value* type = v.find("type");
+    if (type == nullptr || type->str_or("") != "variant") return true;
+    auto variant = parse_variant(v);
+    if (!variant.is_ok()) return false;
+    data.variants.push_back(std::move(variant.value()));
+    return true;
+  };
+  auto valid = record_log::recover_file(path, schema);
+  if (!valid.is_ok()) return valid.status();
+  data.valid_bytes = valid.value();
   return data;
-}
-
-Journal::Journal(int fd, std::string path) : fd_(fd), path_(std::move(path)) {}
-
-Journal::~Journal() {
-  std::lock_guard lock(mu_);
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
 }
 
 StatusOr<std::unique_ptr<Journal>> Journal::open(
     const std::string& path, const JournalHeader& header,
     std::optional<std::size_t> keep_bytes) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
-  if (fd < 0) {
+  auto file =
+      record_log::File::open(path, keep_bytes.value_or(0), header_line(header));
+  if (!file.is_ok()) {
     return Status(StatusCode::kInvalidArgument,
-                  "cannot open journal '" + path + "': " + std::strerror(errno));
+                  "journal: " + file.status().message());
   }
-  const off_t keep =
-      keep_bytes.has_value() ? static_cast<off_t>(*keep_bytes) : 0;
-  if (::ftruncate(fd, keep) != 0 || ::lseek(fd, keep, SEEK_SET) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status(StatusCode::kInvalidArgument,
-                  "cannot truncate journal '" + path + "': " + err);
-  }
-  std::unique_ptr<Journal> journal(new Journal(fd, path));
-  if (keep == 0) {
-    journal->append_line(header_line(header), /*count_variant=*/false);
-    if (Status s = journal->error(); !s.is_ok()) return s;
-  }
-  return journal;
+  return std::unique_ptr<Journal>(new Journal(std::move(file).value()));
 }
+
+Journal::Journal(record_log::File file) : file_(std::move(file)) {}
 
 void Journal::append_line(const std::string& line, bool count_variant) {
   std::size_t killer = 0;
   {
     std::lock_guard lock(mu_);
-    if (fd_ < 0 || !error_.is_ok()) return;
-    const std::string record = line + "\n";
-    const char* p = record.data();
-    std::size_t left = record.size();
-    while (left > 0) {
-      const ssize_t n = ::write(fd_, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        error_ = Status(StatusCode::kInvalidArgument,
-                        "journal write failed on '" + path_ +
-                            "': " + std::strerror(errno));
-        if (m_errors_ != nullptr) m_errors_->inc();
-        std::fprintf(stderr,
-                     "warning: %s — campaign continues without journaling\n",
-                     error_.message().c_str());
-        ::close(fd_);
-        fd_ = -1;
-        return;
-      }
-      p += n;
-      left -= static_cast<std::size_t>(n);
-    }
-    // Make the record durable before the campaign acts on the evaluation:
-    // that is what makes the journal a write-ahead log.
-    const auto fsync_start = std::chrono::steady_clock::now();
-    if (::fsync(fd_) != 0) {
-      error_ = Status(StatusCode::kInvalidArgument,
-                      "journal fsync failed on '" + path_ +
-                          "': " + std::strerror(errno));
+    if (!file_.is_open()) return;
+    const auto start = std::chrono::steady_clock::now();
+    if (const Status s = file_.append(line); !s.is_ok()) {
+      error_ = Status(StatusCode::kInvalidArgument, "journal " + s.message());
       if (m_errors_ != nullptr) m_errors_->inc();
       std::fprintf(stderr,
                    "warning: %s — campaign continues without journaling\n",
                    error_.message().c_str());
-      ::close(fd_);
-      fd_ = -1;
       return;
     }
     if (m_fsync_seconds_ != nullptr) {
       m_fsync_seconds_->observe(std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    fsync_start)
+                                    std::chrono::steady_clock::now() - start)
                                     .count());
     }
     if (m_records_ != nullptr) m_records_->inc();
@@ -290,7 +200,7 @@ void Journal::append_variant(const std::string& key, std::uint64_t stream,
   line += ",\"key\":" + quoted(key);
   line += ",\"stream\":" + std::to_string(stream);
   append_evaluation_fields(line, e);
-  line += '}';
+  line += "}\n";
   append_line(line, /*count_variant=*/true);
 }
 
@@ -325,7 +235,7 @@ void Journal::append_diag(const BlameReport& r) {
   }
   line += ',';
   append_json_map(line, "procedures", procs);
-  line += '}';
+  line += "}\n";
   append_line(line, /*count_variant=*/false);
 }
 
@@ -335,7 +245,7 @@ void Journal::append_batch(std::size_t round, double cluster_seconds,
   line += ",\"round\":" + std::to_string(round);
   line += ",\"cluster_seconds\":" + json_double(cluster_seconds);
   line += ",\"variants\":" + std::to_string(variants);
-  line += '}';
+  line += "}\n";
   append_line(line, /*count_variant=*/false);
 }
 
@@ -354,7 +264,7 @@ void Journal::append_metrics(const obs::MetricsSnapshot& snapshot) {
   }
   line += ',';
   append_json_map(line, "series", scalars);
-  line += '}';
+  line += "}\n";
   append_line(line, /*count_variant=*/false);
 }
 
@@ -369,7 +279,7 @@ void Journal::set_metrics(obs::Registry* registry) {
   m_records_ = registry->counter("prose_journal_records_total",
                                  "Journal records made durable");
   m_fsync_seconds_ = registry->histogram("prose_journal_fsync_seconds",
-                                         "Journal record fsync latency",
+                                         "Journal record write + fsync latency",
                                          obs::latency_buckets_seconds());
   m_errors_ = registry->counter(
       "prose_journal_errors_total",

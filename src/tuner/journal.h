@@ -1,14 +1,12 @@
 // Write-ahead campaign journal: crash-safe persistence of every evaluated
 // variant, enabling bit-identical resume after a kill.
 //
-// The journal is an append-only JSONL file. The first record is a campaign
-// header (model, seeds, fault spec, retry policy, cluster shape); every
-// subsequent record is either one evaluated variant (config key, noise
-// stream id, and the complete Evaluation) or a batch marker (search round +
-// simulated cluster clock, informational). Each record is written with a
-// single write() and fsync'd before append_variant returns, so a campaign
-// killed at any instant leaves a journal whose complete-line prefix is a
-// consistent write-ahead log; at most the in-flight record is lost.
+// The journal is a one-file support/record_log, which alone defines how it
+// is recovered and appended. The first record is a campaign header (model,
+// seeds, fault spec, retry policy, cluster shape); every subsequent record is
+// either one evaluated variant (config key, noise stream id, and the complete
+// Evaluation) or a batch marker (search round + simulated cluster clock,
+// informational). A record is durable before append_variant returns.
 //
 // Resume never replays "campaign state" — it replays *evaluations*. The
 // searches are deterministic given the evaluator, so a resumed campaign
@@ -31,6 +29,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "support/record_log.h"
 #include "tuner/evaluator.h"
 
 namespace prose::tuner {
@@ -78,25 +77,18 @@ struct JournalData {
 
 class Journal {
  public:
-  /// Reads a journal back for resume. A missing or empty file yields an
-  /// empty JournalData (fresh start), and so does a torn first line with no
-  /// newline (a kill mid-header-write). A non-empty file whose first
-  /// *complete* line is not a campaign header record is rejected — refuse to
-  /// treat a foreign file as a journal, since open() would truncate it.
-  /// Parsing stops at the first incomplete or corrupt record — the
-  /// write-ahead prefix up to that point is returned.
+  /// Reads a journal back for resume under record_log::recover. A missing
+  /// or empty file, or a torn header, yields an empty JournalData (fresh
+  /// start); a foreign file is refused, since open() would truncate it.
   static StatusOr<JournalData> load(const std::string& path);
 
-  /// Opens the journal for crash-safe appending. `keep_bytes == nullopt`
-  /// starts fresh: the file is truncated and the header record written.
-  /// Otherwise the file is truncated to `keep_bytes` (discarding a partial
-  /// trailing record) and appending continues; when keep_bytes == 0 the
-  /// header is written as for a fresh file.
+  /// Opens the journal for appending (record_log::File::open).
+  /// `keep_bytes == nullopt` starts fresh with just the header record;
+  /// otherwise the recovered prefix is kept and appending continues.
   static StatusOr<std::unique_ptr<Journal>> open(
       const std::string& path, const JournalHeader& header,
       std::optional<std::size_t> keep_bytes = std::nullopt);
 
-  ~Journal();
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
@@ -144,12 +136,11 @@ class Journal {
   void set_kill_after_variants(std::size_t n);
 
  private:
-  explicit Journal(int fd, std::string path);
+  explicit Journal(record_log::File file);
   void append_line(const std::string& line, bool count_variant);
 
   mutable std::mutex mu_;
-  int fd_ = -1;
-  std::string path_;
+  record_log::File file_;  // closed after the first write failure
   Status error_;
   std::size_t appended_ = 0;
   std::size_t kill_after_ = 0;

@@ -310,14 +310,16 @@ TEST(SegmentedStore, AutoCompactsAtOpenWhenOverTheSegmentBudget) {
 }
 
 TEST(SegmentedStore, RefusesForeignAndSplicedSegments) {
-  {
+  // Prose, and a segment whose complete lines are all blank (no header for
+  // appended results to follow).
+  for (const char* text : {"once upon a time\n", "\n"}) {
     const std::string dir = fresh_path(".storedir");
     ASSERT_EQ(::mkdir(dir.c_str(), 0755), 0);
     std::ofstream out(dir + "/seg-000000.jsonl");
-    out << "once upon a time\n";
+    out << text;
     out.close();
     auto store = ResultStore::open_dir(dir);
-    ASSERT_FALSE(store.is_ok());
+    ASSERT_FALSE(store.is_ok()) << "accepted " << text;
     EXPECT_NE(store.status().message().find("refusing"), std::string::npos);
     remove_dir(dir);
   }
@@ -399,7 +401,7 @@ bool run_child_until_crash(const char* point, void (*body)(const char* dir),
   const pid_t pid = ::fork();
   if (pid == 0) {
     g_crash_at = point;
-    ResultStore::set_crash_hook(crash_hook);
+    record_log::set_crash_hook(crash_hook);
     body(dir.c_str());
     ::_exit(0);
   }

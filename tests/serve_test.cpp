@@ -207,15 +207,19 @@ TEST(ResultStore, TornTrailingLineIsDroppedRestSurvives) {
 }
 
 TEST(ResultStore, RefusesForeignFiles) {
-  const std::string path = fresh_path(".store");
-  {
-    std::ofstream out(path);
-    out << "once upon a time\n";
+  // Prose, and a file whose complete lines are all blank: appending results
+  // after no header would leave a store that no later open accepts.
+  for (const char* text : {"once upon a time\n", "\n"}) {
+    const std::string path = fresh_path(".store");
+    {
+      std::ofstream out(path);
+      out << text;
+    }
+    auto store = ResultStore::open(path);
+    ASSERT_FALSE(store.is_ok()) << "accepted " << text;
+    EXPECT_NE(store.status().message().find("refusing"), std::string::npos);
+    std::remove(path.c_str());
   }
-  auto store = ResultStore::open(path);
-  ASSERT_FALSE(store.is_ok());
-  EXPECT_NE(store.status().message().find("refusing"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 // --- server protocol ------------------------------------------------------
