@@ -13,6 +13,7 @@
 
 #include "golden.h"
 #include "models/models.h"
+#include "prec/format.h"
 #include "sim/compile.h"
 #include "sim/decode.h"
 #include "sim/vm.h"
@@ -245,6 +246,95 @@ end module m
   expect_golden_run("program.timeout", threaded);
 }
 
+/// Custom-format (k-level) arithmetic: every *Fmt handler (add, sub, mul,
+/// div, pow, neg, cast, module-variable store), custom-array element store,
+/// a whole-array fill and copy into a custom format, sum/minval/maxval on
+/// custom arrays, and unary and binary intrinsics with a custom result kind.
+const char* kFmtSource = R"f(
+module m
+  real(kind=1510) :: h
+  real(kind=1807) :: bsum
+  real(kind=8) :: out
+  real(kind=1510) :: ha(32)
+  real(kind=1807) :: hb(32)
+  real(kind=8) :: d(32)
+contains
+  subroutine go()
+    integer :: i
+    real(kind=1510) :: x, y, three, half
+    real(kind=1807) :: z
+    three = 3.0
+    half = 0.5
+    h = 0.0
+    hb = 0.25
+    do i = 1, 32
+      d(i) = sin(dble(i) * 0.37d0) * 100.0d0 + 1.0d-3 * dble(i)
+    end do
+    ha = d
+    do i = 1, 32
+      x = ha(i)
+      y = x * half - x / three + half ** 2
+      y = -y + abs(x) - sqrt(abs(y))
+      y = max(y, -x) + min(x, three) - sign(half, y)
+      h = h + y * half
+      z = y
+      hb(i) = z * z
+    end do
+    bsum = sum(hb)
+    out = dble(maxval(hb)) + dble(minval(ha)) + dble(sum(ha)) + dble(h)
+    print *, 'fmt', h, bsum, out
+  end subroutine go
+end module m
+)f";
+
+TEST(VmDispatch, FormatOpsMatchGoldens) {
+  const CompiledProgram p = compile_src(kFmtSource);
+  for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+    VmOptions fused_off;
+    fused_off.fuse = false;
+    const Executed on = run_with(p, d);
+    const Executed off = run_with(p, d, fused_off);
+    ASSERT_TRUE(on.run.status.is_ok()) << on.run.status.to_string();
+    EXPECT_GT(on.run.op_mix.fmt_arith, 0u);
+    expect_same_run(on, off, "fmt: fuse on vs off");
+    expect_golden_run("program.fmt", on);
+  }
+}
+
+TEST(VmDispatch, FormatOverflowFaultsMatchGoldens) {
+  // binary16 tops out at 65504: an arithmetic result past it, and an array
+  // copy of a binary64 value past it, are directed-overflow faults.
+  const CompiledProgram arith = compile_src(R"f(
+module m
+  real(kind=1510) :: x, y
+contains
+  subroutine go()
+    x = 300.0
+    y = x * x
+  end subroutine go
+end module m
+)f");
+  const CompiledProgram copy = compile_src(R"f(
+module m
+  real(kind=1510) :: ha(4)
+  real(kind=8) :: d(4)
+contains
+  subroutine go()
+    d = 1.0d5
+    ha = d
+  end subroutine go
+end module m
+)f");
+  for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+    const Executed a = run_with(arith, d);
+    EXPECT_EQ(a.run.status.code(), StatusCode::kRuntimeFault);
+    expect_golden_run("program.fmt_overflow", a);
+    const Executed c = run_with(copy, d);
+    EXPECT_EQ(c.run.status.code(), StatusCode::kRuntimeFault);
+    expect_golden_run("program.fmt_copy_overflow", c);
+  }
+}
+
 TEST(VmDispatch, ShadowRunsUnfusedDecodedStream) {
   // A shadow Vm hooks every bytecode instruction, so it ignores a supplied
   // fused stream and runs its own unfused one on the shadow switch loop:
@@ -457,21 +547,27 @@ TEST(VmDispatchCampaign, Mpas) {
 }
 
 TEST(VmDispatchCampaign, GoldenJournalHashes) {
-  // The journal bytes of two diagnosed campaigns, pinned as golden hashes:
-  // every engine must write exactly the recorded search, evaluations, and
-  // shadow-diagnosis provenance.
+  // The journal bytes of two diagnosed campaigns and one k-level campaign,
+  // pinned as golden hashes: every engine must write exactly the recorded
+  // search, evaluations, and shadow-diagnosis provenance.
   struct Case {
     const char* id;
     tuner::TargetSpec spec;
     std::size_t max_variants;
+    bool diagnose = true;
+    const char* formats = "";
   };
   const Case cases[] = {
       {"journal.funarc.j4.diag", models::funarc_target(), 0},
       {"journal.mpas.cap12.j4.diag", models::mpas_target(), 12},
+      {"journal.mpas.klevel.cap12.j4", models::mpas_target(), 12, false,
+       "binary16,bfloat16,binary32,binary64"},
   };
   for (const Case& c : cases) {
     for (const VmDispatch engine : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
-      tuner::CampaignOptions options = small_campaign(4, true, c.max_variants);
+      tuner::CampaignOptions options =
+          small_campaign(4, c.diagnose, c.max_variants);
+      options.formats = prec::parse_format_list(c.formats);
       options.vm_dispatch = engine;
       options.journal_path = std::string(::testing::TempDir()) + "/vmdisp." +
                              c.id + "." + tuner::to_string(engine) + ".jsonl";
