@@ -1,10 +1,13 @@
 // Microbenchmarks (google-benchmark) for the substrate itself: frontend
-// throughput, transformation cost, reduction cost, and VM execution rate.
+// throughput, transformation cost, reduction cost, VM execution rate, and
+// the custom-format quantizer every k-level arithmetic op pays.
 // These are the components whose per-variant cost the campaign scheduler
 // models (T0-T3 of the artifact's workflow).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <set>
+#include <vector>
 
 #include "ftn/callgraph.h"
 #include "ftn/lexer.h"
@@ -15,8 +18,10 @@
 #include "ftn/transform.h"
 #include "ftn/unparse.h"
 #include "models/models.h"
+#include "prec/format.h"
 #include "sim/compile.h"
 #include "sim/vm.h"
+#include "support/rng.h"
 
 namespace {
 
@@ -139,6 +144,34 @@ void BM_VmFullModelRun(benchmark::State& state) {
   state.SetLabel("items = VM instructions");
 }
 BENCHMARK(BM_VmFullModelRun);
+
+/// One Quantizer::round per item, resolved once per format as the VM does,
+/// over binary64 values spread across 2^-24..2^16 (binary16's subnormal
+/// through overflow range). ns per call = 1e9 / items_per_second.
+void BM_PrecQuantize(benchmark::State& state) {
+  const auto kind = static_cast<int>(state.range(0));
+  const prec::Quantizer quant(prec::decode_kind(kind));
+  Rng rng(2024);
+  std::vector<double> xs(4096);
+  for (double& x : xs) {
+    const int exponent = -24 + static_cast<int>(rng.uniform_index(40));
+    x = std::ldexp(rng.uniform(-2.0, 2.0), exponent);
+  }
+  for (auto _ : state) {
+    bool any_overflow = false;
+    for (const double x : xs) {
+      bool ovf = false;
+      benchmark::DoNotOptimize(quant.round(x, ovf));
+      any_overflow |= ovf;
+    }
+    benchmark::DoNotOptimize(any_overflow);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * xs.size()));
+  state.SetLabel(prec::kind_name(kind) + ", items = quantize calls");
+}
+// binary16, bfloat16, e8m23 and e12m40 (a wide exponent: no subnormal range
+// inside binary64).
+BENCHMARK(BM_PrecQuantize)->Arg(1510)->Arg(1807)->Arg(1823)->Arg(2240);
 
 }  // namespace
 

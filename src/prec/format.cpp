@@ -2,14 +2,23 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <limits>
 
 namespace prose::prec {
 namespace {
 
-constexpr std::uint64_t kSignMask = 0x8000000000000000ull;
-constexpr std::uint64_t kManMask = 0x000fffffffffffffull;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// 2^e as a binary64, exactly as std::ldexp(1.0, e) rounds it: subnormal
+/// below 2^-1022, zero below 2^-1074, infinity above 2^1023.
+double pow2(int e) {
+  if (e > 1023) return kInf;
+  if (e >= -1022) {
+    return std::bit_cast<double>(static_cast<std::uint64_t>(e + 1023) << 52);
+  }
+  if (e >= -1074) return std::bit_cast<double>(std::uint64_t{1} << (e + 1074));
+  return 0.0;
+}
 
 /// Canonical lattice order: narrower storage first, then fewer significand
 /// bits, then fewer exponent bits; the kind value breaks exact spec ties
@@ -27,29 +36,49 @@ bool lattice_less(std::uint16_t a, std::uint16_t b) {
 
 }  // namespace
 
+// (2 - 2^-M)·2^emax, rounded to binary64: for M > 52 the significand rounds
+// up to 2, and past binary64's range the value is +inf. emax == bias.
 double FormatSpec::max_finite() const {
-  const int emax = ((1 << exp_bits) - 2) - bias();
-  return std::ldexp(2.0 - std::ldexp(1.0, -man_bits), emax);
+  const int emax = bias();
+  if (man_bits > 52) return pow2(emax + 1);
+  if (emax > 1023) return kInf;
+  const std::uint64_t ones = (std::uint64_t{1} << man_bits) - 1;
+  return std::bit_cast<double>((static_cast<std::uint64_t>(emax + 1023) << 52) |
+                               (ones << (52 - man_bits)));
 }
 
-double FormatSpec::min_normal() const { return std::ldexp(1.0, 1 - bias()); }
+double FormatSpec::min_normal() const { return pow2(1 - bias()); }
 
-double FormatSpec::min_subnormal() const {
-  return std::ldexp(1.0, 1 - bias() - man_bits);
-}
+double FormatSpec::min_subnormal() const { return pow2(1 - bias() - man_bits); }
 
-double FormatSpec::epsilon() const { return std::ldexp(1.0, -man_bits); }
+double FormatSpec::epsilon() const { return pow2(-man_bits); }
 
-bool valid_kind(int kind) {
-  if (kind == kKindF32 || kind == kKindF64) return true;
-  if (kind < kMinCustomKind || kind > kMaxCustomKind) return false;
-  const int e = (kind - 1000) / 100;
-  const int m = (kind - 1000) % 100;
-  return e >= 2 && e <= 30 && m >= 1 && m <= 60;
-}
-
-bool is_custom_kind(int kind) {
-  return valid_kind(kind) && kind != kKindF32 && kind != kKindF64;
+Quantizer::Quantizer(const FormatSpec& spec) {
+  // Formats containing binary64 represent every double exactly.
+  if (spec.exp_bits >= 11 && spec.man_bits >= 52) return;
+  man_bits_ = spec.man_bits;
+  max_bits_ = std::bit_cast<std::uint64_t>(spec.max_finite());
+  if (spec.man_bits < 52) {
+    lsb_shift_ = 52 - spec.man_bits;
+    const std::uint64_t unit = std::uint64_t{1} << lsb_shift_;
+    half_minus_one_ = (unit >> 1) - 1;
+    keep_mask_ = ~(unit - 1);
+  }
+  const int emin = 1 - spec.bias();
+  if (emin - spec.man_bits + 52 >= -1022) {
+    // The format's subnormal range lies inside binary64's normal range
+    // (E <= 11). Adding 2^(emin - M + 52) to a magnitude below it puts the
+    // sum's ulp at the subnormal granularity 2^(emin - M); subtracting it
+    // back is exact. For M > 52 that constant is below min_normal, and
+    // magnitudes between the two are already on the grid.
+    subnormal_rounder_ = pow2(emin - spec.man_bits + 52);
+    tiny_bits_ = std::bit_cast<std::uint64_t>(
+        std::min(spec.min_normal(), subnormal_rounder_));
+  } else {
+    // E >= 12: every binary64 value is normal in the format, but a binary64
+    // subnormal has fewer than 52 significand bits below its leading bit.
+    tiny_bits_ = std::uint64_t{1} << 52;
+  }
 }
 
 int encode_kind(const FormatSpec& spec) {
@@ -175,70 +204,12 @@ void sort_kinds(std::vector<std::uint16_t>& kinds) {
   kinds.erase(std::unique(kinds.begin(), kinds.end()), kinds.end());
 }
 
-double quantize(const FormatSpec& spec, double x) {
-  return quantize_checked(spec, x, nullptr);
-}
+double quantize(const FormatSpec& spec, double x) { return Quantizer(spec)(x); }
 
 double quantize_kind(int kind, double x) {
   if (kind == kKindF64) return x;
   if (kind == kKindF32) return static_cast<double>(static_cast<float>(x));
   return quantize(decode_kind(kind), x);
-}
-
-double quantize_checked(const FormatSpec& spec, double x, bool* overflowed) {
-  if (overflowed != nullptr) *overflowed = false;
-  // Formats containing binary64 represent every double exactly.
-  if (spec.exp_bits >= 11 && spec.man_bits >= 52) return x;
-
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
-  const bool negative = (bits & kSignMask) != 0;
-  const int dexp = static_cast<int>((bits >> 52) & 0x7ff);
-  std::uint64_t dman = bits & kManMask;
-  if (dexp == 0x7ff) return x;  // NaN and ±inf propagate unchanged
-
-  // Normalize to full = 1.m as a 53-bit integer and unbiased exponent e,
-  // so |x| = full · 2^(e-52).
-  std::uint64_t full;
-  int e;
-  if (dexp == 0) {
-    if (dman == 0) return x;  // ±0
-    const int hb = 63 - std::countl_zero(dman);  // highest set bit, 0..51
-    full = dman << (52 - hb);
-    e = hb - 1074;
-  } else {
-    full = (std::uint64_t{1} << 52) | dman;
-    e = dexp - 1023;
-  }
-
-  const int emin = 1 - spec.bias();
-  // Bits to discard for round-to-nearest-even: 52 - M for normals, more
-  // when the value lands in the format's subnormal range (granularity is
-  // pinned at 2^(emin - M), gradual underflow).
-  int discard = 52 - spec.man_bits;
-  if (e < emin) discard += emin - e;
-  if (discard > 0) {
-    if (discard > 63) {
-      full = 0;  // far below half the smallest subnormal
-    } else {
-      const std::uint64_t half = std::uint64_t{1} << (discard - 1);
-      const std::uint64_t low = full & ((std::uint64_t{1} << discard) - 1);
-      full >>= discard;
-      if (low > half || (low == half && (full & 1) != 0)) ++full;
-    }
-    discard = std::max(discard, 0);
-  } else {
-    discard = 0;
-  }
-
-  // full <= 2^53 here, so the reconstruction is exact in binary64; ldexp
-  // handles the rounding carry (1.11…1 -> 10.0…0) for free.
-  double mag = std::ldexp(static_cast<double>(full), e - 52 + discard);
-  const double limit = spec.max_finite();
-  if (mag > limit) {
-    if (overflowed != nullptr) *overflowed = true;
-    mag = std::numeric_limits<double>::infinity();
-  }
-  return negative ? -mag : mag;
 }
 
 bool contains(const FormatSpec& a, const FormatSpec& b) {

@@ -15,6 +15,19 @@
 // e11m52 quantization is the identity — which is how the legacy two-level
 // contract stays a strict subset of the k-level one.
 //
+// Quantizer: the rounding works on the binary64 bit pattern, inline, with
+// constants resolved once per format (prec::Quantizer). In the format's
+// normal range it is round-to-nearest-even on the 52 - M discarded
+// significand bits: one add, one mask, and a carry that runs into the
+// exponent field for free; overflow is one integer compare against
+// max-finite's bit pattern. Below the format's smallest normal, adding and
+// subtracting 2^(emin - M + 52) rounds to the subnormal granularity
+// 2^(emin - M) in hardware. Formats with E >= 12 have no subnormal range
+// inside binary64, but a binary64 subnormal input keeps M bits below its
+// leading set bit, so those inputs round at a shifted position. The
+// simulator builds each Quantizer once (per decoded program and per array),
+// never per executed operation.
+//
 // Kind encoding: the Fortran frontend, the VM bytecode, and the tuner all
 // carry precision as a small integer "kind". Hardware kinds 4 (float) and
 // 8 (double) keep their historical values and code paths untouched; a
@@ -27,6 +40,7 @@
 // host namespaces with different format tables without interference.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -71,9 +85,16 @@ struct FormatSpec {
 };
 
 /// True iff `kind` is a hardware kind or a well-formed custom encoding.
-bool valid_kind(int kind);
+inline bool valid_kind(int kind) {
+  if (kind == kKindF32 || kind == kKindF64) return true;
+  if (kind < kMinCustomKind || kind > kMaxCustomKind) return false;
+  const int m = (kind - 1000) % 100;
+  return m >= 1 && m <= 60;  // the kind bounds already pin 2 <= E <= 30
+}
 /// True iff `kind` is a custom (non-4/8) format kind.
-bool is_custom_kind(int kind);
+inline bool is_custom_kind(int kind) {
+  return kind != kKindF32 && kind != kKindF64 && valid_kind(kind);
+}
 
 /// Encodes a spec into its kind (hardware widths e8m23/e11m52 still encode
 /// as customs — the soft twins used by the hardware-equivalence suite).
@@ -109,16 +130,76 @@ std::vector<std::uint16_t> parse_kind_key(std::string_view key);
 /// Sorts kinds into canonical lattice order (see parse_format_list).
 void sort_kinds(std::vector<std::uint16_t>& kinds);
 
-/// Quantizes a binary64 value to the format: round-to-nearest-even, gradual
-/// underflow, overflow to ±inf, NaN passes through. For e11m52 this is the
-/// identity; for e8m23 it is bit-identical to (double)(float)x.
+/// One format's rounding constants, resolved once from its spec, and the
+/// library's only quantizer: round-to-nearest-even, gradual underflow,
+/// overflow to ±inf, NaN and ±inf pass through unchanged. For e11m52 it is
+/// the identity; for e8m23 it is bit-identical to (double)(float)x.
+class Quantizer {
+ public:
+  /// The identity (binary64).
+  Quantizer() = default;
+  explicit Quantizer(const FormatSpec& spec);
+
+  /// Quantizes `x`; `overflowed` is set iff a finite input left the format's
+  /// finite range (the directed-overflow signal the VM's trap_nonfinite
+  /// path turns into a runtime fault), and cleared otherwise.
+  double round(double x, bool& overflowed) const {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+    const std::uint64_t sign = bits & kSignBit;
+    std::uint64_t mag = bits ^ sign;
+    overflowed = false;
+    if (mag >= kInfBits) return x;  // NaN and ±inf propagate unchanged
+    if (mag < tiny_bits_) {
+      mag = round_tiny(mag);
+    } else {
+      mag = (mag + half_minus_one_ + ((mag >> lsb_shift_) & 1)) & keep_mask_;
+      if (mag > max_bits_) {
+        overflowed = true;
+        mag = kInfBits;
+      }
+    }
+    return std::bit_cast<double>(mag | sign);
+  }
+  double operator()(double x) const {
+    bool overflowed = false;
+    return round(x, overflowed);
+  }
+
+ private:
+  static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kInfBits = std::uint64_t{0x7ff} << 52;
+
+  /// Magnitudes below tiny_bits_: the format's subnormal range (add and
+  /// subtract 2^(emin - M + 52)), or, for E >= 12, a binary64 subnormal
+  /// rounded to M bits below its leading set bit.
+  std::uint64_t round_tiny(std::uint64_t mag) const {
+    if (subnormal_rounder_ != 0.0) {
+      const double y = std::bit_cast<double>(mag);
+      return std::bit_cast<std::uint64_t>((y + subnormal_rounder_) -
+                                          subnormal_rounder_);
+    }
+    const int discard = 63 - std::countl_zero(mag) - man_bits_;
+    if (discard <= 0) return mag;  // ±0 lands here too (countl_zero = 64)
+    const std::uint64_t unit = std::uint64_t{1} << discard;
+    return (mag + (unit >> 1) - 1 + ((mag >> discard) & 1)) & ~(unit - 1);
+  }
+
+  // Normal range: round away the low lsb_shift_ bits of the magnitude. When
+  // nothing is discarded lsb_shift_ is 63, which reads the magnitude's
+  // always-clear sign position, so the add is a no-op.
+  std::uint64_t keep_mask_ = ~std::uint64_t{0};
+  std::uint64_t half_minus_one_ = 0;
+  std::uint64_t max_bits_ = kInfBits;  // max_finite() as a bit pattern
+  std::uint64_t tiny_bits_ = 0;        // below: round_tiny
+  double subnormal_rounder_ = 0.0;     // 2^(emin - M + 52); 0 when E >= 12
+  int lsb_shift_ = 63;
+  int man_bits_ = 52;
+};
+
+/// Quantizes a binary64 value to the format (see Quantizer).
 double quantize(const FormatSpec& spec, double x);
 /// Quantize by kind (4/8 use the hardware casts — verbatim legacy paths).
 double quantize_kind(int kind, double x);
-/// Quantize with an overflow flag: `overflowed` is set when a finite input
-/// left the format's finite range (the directed-overflow signal the VM's
-/// trap_nonfinite path turns into a runtime fault).
-double quantize_checked(const FormatSpec& spec, double x, bool* overflowed);
 
 /// Containment partial order: a contains b iff a can represent every value
 /// of b exactly (exp_bits >= and man_bits >=).

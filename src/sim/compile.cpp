@@ -497,7 +497,7 @@ class Compiler {
         } else if (want == VKind::kFmt) {
           bool ovf = false;
           const double q =
-              prec::quantize_checked(prec::decode_kind(want_fmt), last.imm, &ovf);
+              prec::Quantizer(prec::decode_kind(want_fmt)).round(last.imm, ovf);
           if (!ovf) {
             last.imm = q;
             return Operand{src.slot, want, want_fmt};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "ftn/symbols.h"
@@ -267,6 +268,20 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
   std::vector<char> leader(code.size(), 0);
   for (const ProcRange& r : ranges) leader[static_cast<std::size_t>(r.first)] = 1;
 
+  // Custom formats get one quantizer each; `sub` holds the table index.
+  std::vector<int> format_kinds;
+  const auto resolve_format = [&](DecodedInstr& d, int kind) -> bool {
+    auto it = std::find(format_kinds.begin(), format_kinds.end(), kind);
+    if (it == format_kinds.end()) {
+      if (format_kinds.size() > std::numeric_limits<std::uint8_t>::max()) return false;
+      format_kinds.push_back(kind);
+      decoded->formats.emplace_back(prec::decode_kind(kind));
+      it = format_kinds.end() - 1;
+    }
+    d.sub = static_cast<std::uint8_t>(it - format_kinds.begin());
+    return true;
+  };
+
   for (const ProcRange& r : ranges) {
     const ProcMeta& meta = program.procs[static_cast<std::size_t>(r.proc)];
     const auto ok_slot = [&](std::int32_t s) { return s >= 0 && s < meta.num_slots; };
@@ -339,6 +354,7 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
             } else if (prec::is_custom_kind(gk)) {
               d.op = XOp::kStoreGlobalFmt;
               d.kind = static_cast<std::uint16_t>(gk);
+              if (!resolve_format(d, gk)) return err(pc, "too many custom formats");
             } else {
               d.op = XOp::kStoreGlobalF64;
             }
@@ -367,6 +383,9 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
               intr != Intrinsic::kTan && intr != Intrinsic::kAtan) {
             return err(pc, "unknown unary intrinsic");
           }
+          if (prec::is_custom_kind(in.kind) && !resolve_format(d, in.kind)) {
+            return err(pc, "too many custom formats");
+          }
           break;
         }
         case Op::kIntrin2: {
@@ -378,6 +397,9 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
               intr != Intrinsic::kMod && intr != Intrinsic::kSign &&
               intr != Intrinsic::kAtan2) {
             return err(pc, "unknown binary intrinsic");
+          }
+          if (prec::is_custom_kind(in.kind) && !resolve_format(d, in.kind)) {
+            return err(pc, "too many custom formats");
           }
           break;
         }
@@ -516,6 +538,7 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
           if (!prec::is_custom_kind(in.kind)) {
             return err(pc, "format op without a custom format kind");
           }
+          if (!resolve_format(d, in.kind)) return err(pc, "too many custom formats");
           break;
         case Op::kNegFmt:
         case Op::kCastFmt:
@@ -525,6 +548,7 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
           if (!prec::is_custom_kind(in.kind)) {
             return err(pc, "format op without a custom format kind");
           }
+          if (!resolve_format(d, in.kind)) return err(pc, "too many custom formats");
           break;
       }
     }

@@ -11,7 +11,8 @@
 //   2. Resolve: polymorphic decisions the bytecode leaves to execution
 //      time are folded into the opcode or the decoded fields — the
 //      kind of a kStoreGlobal target, the vectorization verdict of a
-//      kLoopBegin, the op-mix class, the kCastInt rounding mode.
+//      kLoopBegin, the op-mix class, the kCastInt rounding mode, and the
+//      quantizer of each custom format.
 //   3. Fuse: adjacent pairs that dominate the dynamic mix (loop-head
 //      cond+branch, compare+branch, increment+back-edge, cast+mov,
 //      cast/arith+store, load+arith) are rewritten into superinstructions
@@ -34,6 +35,7 @@
 #include <memory>
 #include <vector>
 
+#include "prec/format.h"
 #include "sim/bytecode.h"
 #include "support/status.h"
 
@@ -220,7 +222,8 @@ struct DecodedInstr {
   XOp op = XOp::kNop;
   std::uint16_t kind = 8;  // operand kind where relevant (4/8/custom encoded)
   std::uint8_t mix = kMixOther;
-  std::uint8_t sub = 0;   // kCastInt rounding mode; FusedFamily for fusions
+  std::uint8_t sub = 0;   // kCastInt rounding mode; FusedFamily for fusions;
+                          // DecodedProgram::formats index for custom kinds
 };
 
 struct DecodeOptions {
@@ -237,6 +240,10 @@ struct DecodeOptions {
 /// instances, which is how the evaluator's per-variant cache uses it.
 struct DecodedProgram {
   std::vector<DecodedInstr> code;
+  /// One quantizer per custom format the program rounds to, resolved once
+  /// here so no handler decodes a kind. Every *Fmt op and every intrinsic
+  /// with a custom result kind carries its entry's index in `sub`.
+  std::vector<prec::Quantizer> formats;
   bool fused = false;
   /// Static fusion census: how many pairs the fuser rewrote, per family.
   std::uint64_t fused_sites = 0;

@@ -26,7 +26,7 @@ ArrayStorage::ArrayStorage(int kind, int rank, const std::int64_t* extents)
   }
   if (prec::is_custom_kind(kind_)) {
     custom_ = true;
-    spec_ = prec::decode_kind(kind_);
+    quant_ = prec::Quantizer(prec::decode_kind(kind_));
   }
 }
 

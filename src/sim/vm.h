@@ -218,14 +218,21 @@ class ArrayStorage {
   void set(std::int64_t linear, double value) {
     if (kind_ == 4) {
       f32_[static_cast<std::size_t>(linear)] = static_cast<float>(value);
-    } else if (custom_) {
-      // Custom formats store the already-quantized binary64 image of the
-      // format's value (every custom value is exactly representable in
-      // binary64), so quantize-on-set is the whole storage semantics.
-      f64_[static_cast<std::size_t>(linear)] = prec::quantize(spec_, value);
     } else {
-      f64_[static_cast<std::size_t>(linear)] = value;
+      set_exact(linear, custom_ ? quant_(value) : value);
     }
+  }
+
+  /// Custom formats store the already-quantized binary64 image of the
+  /// format's value (every custom value is exactly representable in
+  /// binary64), so quantize-on-set is the whole storage semantics. Handlers
+  /// that also need the overflow flag round once with quantizer() and store
+  /// the result with set_exact.
+  [[nodiscard]] bool custom() const { return custom_; }
+  [[nodiscard]] const prec::Quantizer& quantizer() const { return quant_; }
+  /// Stores a value the array's (non-kind-4) format represents exactly.
+  void set_exact(std::int64_t linear, double value) {
+    f64_[static_cast<std::size_t>(linear)] = value;
   }
 
   /// Shadow-execution support: an optional binary64 mirror of the payload,
@@ -243,7 +250,7 @@ class ArrayStorage {
   int kind_;
   int rank_;
   bool custom_ = false;            // kind_ is a parameterized format
-  prec::FormatSpec spec_;          // decoded once; only read when custom_
+  prec::Quantizer quant_;          // resolved once; only read when custom_
   std::int64_t extents_[3] = {1, 1, 1};
   std::int64_t total_ = 0;
   std::vector<float> f32_;

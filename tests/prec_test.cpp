@@ -1,11 +1,14 @@
 // src/prec contract tests: exhaustive narrow-format sweeps, rounding
-// properties, and the hardware-equivalence suite pinning e8m23 ≡ float and
+// properties, the hardware-equivalence suite pinning e8m23 ≡ float and
 // e11m52 ≡ double — the proof that the legacy two-level lattice is a strict
-// subset of the k-level one.
+// subset of the k-level one — and a differential sweep of the bit-level
+// Quantizer against an ldexp-based reference rounder on every valid kind.
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +56,170 @@ std::vector<double> finite_values16(const FormatSpec& spec) {
   }
   std::sort(vals.begin(), vals.end());
   return vals;
+}
+
+/// The reference rounder: normalize to a 53-bit integer significand, round
+/// it to nearest-even at the format's granularity in integer arithmetic,
+/// and rebuild the value with ldexp. Independent of Quantizer's bit tricks;
+/// its limit is (2 - 2^-M)·2^emax as ldexp rounds it to binary64.
+double reference_quantize(const FormatSpec& spec, double x, bool* overflowed) {
+  *overflowed = false;
+  if (spec.exp_bits >= 11 && spec.man_bits >= 52) return x;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const bool negative = (bits >> 63) != 0;
+  const int dexp = static_cast<int>((bits >> 52) & 0x7ff);
+  const std::uint64_t dman = bits & 0x000fffffffffffffull;
+  if (dexp == 0x7ff) return x;
+  std::uint64_t full;
+  int e;
+  if (dexp == 0) {
+    if (dman == 0) return x;
+    const int hb = 63 - std::countl_zero(dman);
+    full = dman << (52 - hb);
+    e = hb - 1074;
+  } else {
+    full = (std::uint64_t{1} << 52) | dman;
+    e = dexp - 1023;
+  }
+  const int emin = 1 - spec.bias();
+  int discard = 52 - spec.man_bits;
+  if (e < emin) discard += emin - e;
+  if (discard > 0) {
+    if (discard > 63) {
+      full = 0;
+    } else {
+      const std::uint64_t half = std::uint64_t{1} << (discard - 1);
+      const std::uint64_t low = full & ((std::uint64_t{1} << discard) - 1);
+      full >>= discard;
+      if (low > half || (low == half && (full & 1) != 0)) ++full;
+    }
+  } else {
+    discard = 0;
+  }
+  double mag = std::ldexp(static_cast<double>(full), e - 52 + discard);
+  const int emax = ((1 << spec.exp_bits) - 2) - spec.bias();
+  const double limit = std::ldexp(2.0 - std::ldexp(1.0, -spec.man_bits), emax);
+  if (mag > limit) {
+    *overflowed = true;
+    mag = std::numeric_limits<double>::infinity();
+  }
+  return negative ? -mag : mag;
+}
+
+/// Plain round-to-nearest-even of the low 52 - M pattern bits: right on
+/// binary64 normals, wrong on binary64 subnormals once E >= 12 (they keep
+/// fewer than M significand bits below their leading bit).
+double naive_bit_quantize(const FormatSpec& spec, double x) {
+  const int d = 52 - spec.man_bits;
+  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t unit = std::uint64_t{1} << d;
+  return std::bit_cast<double>(
+      (bits + (unit >> 1) - 1 + ((bits >> d) & 1)) & ~(unit - 1));
+}
+
+/// Differential inputs for one format: random patterns, binary64
+/// subnormals, signed zeros, infinities and NaN, exact ties at the
+/// format's ulp and at its subnormal granularity, and max_finite with the
+/// first tie above it (each also nudged one binary64 ulp either way).
+std::vector<double> differential_inputs(const FormatSpec& spec, Rng& rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> in = {0.0, -0.0, kInf, -kInf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::min(),
+                            std::numeric_limits<double>::denorm_min()};
+  for (int i = 0; i < 400; ++i) in.push_back(std::bit_cast<double>(rng.next_u64()));
+  for (int i = 0; i < 100; ++i) {
+    in.push_back(std::bit_cast<double>(rng.next_u64() & 0x800fffffffffffffull));
+    in.push_back(std::bit_cast<double>(rng.next_u64() >> (12 + rng.uniform_index(52))));
+  }
+  const auto nudged = [&in](double v) {
+    in.push_back(v);
+    in.push_back(-v);
+    in.push_back(std::nextafter(v, 0.0));
+    in.push_back(std::nextafter(v, kInf));
+  };
+  const int m = spec.man_bits;
+  const int emin = 1 - spec.bias();
+  if (m <= 51) {
+    // Ties at the format's ulp in its normal range: a pattern whose
+    // discarded bits are exactly one half.
+    const int d = 52 - m;
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t r = rng.next_u64() & 0x7fffffffffffffffull;
+      const std::uint64_t tie =
+          (r & ~((std::uint64_t{1} << d) - 1)) | (std::uint64_t{1} << (d - 1));
+      if ((tie >> 52) != 0x7ff) nudged(std::bit_cast<double>(tie));
+    }
+  }
+  if (emin - m - 1 >= -1074) {
+    // Ties at the subnormal granularity 2^(emin - M): (2k + 1)·2^(emin-M-1).
+    const std::uint64_t span = std::uint64_t{1} << std::min(m, 52);
+    for (int i = 0; i < 100; ++i) {
+      const std::uint64_t k = i < 4 ? static_cast<std::uint64_t>(i)
+                                    : rng.uniform_index(span);
+      nudged(std::ldexp(static_cast<double>(2 * k + 1), emin - m - 1));
+    }
+  }
+  const double max_finite = spec.max_finite();
+  if (std::isfinite(max_finite)) {
+    nudged(max_finite);
+    if (m <= 51) {
+      nudged(std::ldexp(2.0 - std::ldexp(1.0, -(m + 1)), spec.bias()));
+    }
+  }
+  return in;
+}
+
+std::string hexfloat(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+TEST(PrecQuantizer, MatchesTheReferenceOnEveryValidKind) {
+  Rng rng(2024);
+  std::size_t checked = 0;
+  for (int e = 2; e <= 30; ++e) {
+    for (int m = 1; m <= 60; ++m) {
+      const FormatSpec spec{e, m};
+      ASSERT_TRUE(is_custom_kind(encode_kind(spec)));
+      const Quantizer quant(spec);
+      int failures = 0;
+      for (const double x : differential_inputs(spec, rng)) {
+        bool want_ovf = false;
+        const double want = reference_quantize(spec, x, &want_ovf);
+        bool got_ovf = true;
+        const double got = quant.round(x, got_ovf);
+        ++checked;
+        if (std::bit_cast<std::uint64_t>(got) != std::bit_cast<std::uint64_t>(want) ||
+            got_ovf != want_ovf) {
+          ADD_FAILURE() << kind_name(encode_kind(spec)) << " x=" << hexfloat(x)
+                        << " want=" << hexfloat(want) << " ovf=" << want_ovf
+                        << " got=" << hexfloat(got) << " ovf=" << got_ovf;
+          if (++failures >= 5) break;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 29u * 60u * 500u);
+}
+
+TEST(PrecQuantizer, WideExponentKeepsBinary64SubnormalSignificands) {
+  // e12m40 has no subnormal range inside binary64, so this binary64
+  // subnormal is a normal e12m40 value: it keeps 40 bits below its leading
+  // set bit. Rounding the pattern's low 12 bits keeps fewer.
+  const FormatSpec e12m40{12, 40};
+  const double x = -0x0.44617594ad20bp-1022;
+  const double want = -0x0.44617594ad4p-1022;
+  bool ovf = false;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(reference_quantize(e12m40, x, &ovf)),
+            std::bit_cast<std::uint64_t>(want));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(Quantizer(e12m40).round(x, ovf)),
+            std::bit_cast<std::uint64_t>(want));
+  EXPECT_FALSE(ovf);
+  EXPECT_EQ(naive_bit_quantize(e12m40, x), -0x0.44617594adp-1022);
+  EXPECT_NE(naive_bit_quantize(e12m40, x), want);
 }
 
 TEST(PrecFormat, KindEncodingRoundTrips) {
@@ -297,21 +464,22 @@ TEST(PrecFormat, NanAndInfPropagation) {
     EXPECT_EQ(quantize(spec, -std::numeric_limits<double>::infinity()),
               -std::numeric_limits<double>::infinity());
     bool overflowed = true;
-    quantize_checked(spec, std::numeric_limits<double>::infinity(), &overflowed);
+    Quantizer(spec).round(std::numeric_limits<double>::infinity(), overflowed);
     EXPECT_FALSE(overflowed) << "inf in, inf out is propagation, not overflow";
   }
 }
 
 TEST(PrecFormat, DirectedOverflowAndUnderflow) {
   bool overflowed = false;
-  EXPECT_EQ(quantize_checked(kBinary16, 65520.0, &overflowed),
+  const Quantizer binary16(kBinary16);
+  EXPECT_EQ(binary16.round(65520.0, overflowed),
             std::numeric_limits<double>::infinity());
   EXPECT_TRUE(overflowed);
-  EXPECT_EQ(quantize_checked(kBinary16, -65520.0, &overflowed),
+  EXPECT_EQ(binary16.round(-65520.0, overflowed),
             -std::numeric_limits<double>::infinity());
   EXPECT_TRUE(overflowed);
   // Just inside: max finite binary16 is 65504.
-  EXPECT_EQ(quantize_checked(kBinary16, 65504.0, &overflowed), 65504.0);
+  EXPECT_EQ(binary16.round(65504.0, overflowed), 65504.0);
   EXPECT_FALSE(overflowed);
   // The overflow threshold is the midpoint to the next (absent) value:
   // 65519.999… rounds down to 65504, 65520 ties away… no: RNE at the top of
