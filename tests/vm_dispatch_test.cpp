@@ -7,6 +7,7 @@
 // FusedStats dispatch counters (zero under fuse=false and under shadow).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -98,6 +99,48 @@ void expect_golden_run(const std::string& id, const Executed& e) {
   expect_golden(prose::testing::run_line(id, e.run, e.print_log));
 }
 
+/// Every ShadowReport field, doubles as bit patterns — the text whose hash
+/// a program's .shadow golden line stores.
+std::string render_shadow(const sim::ShadowReport& r) {
+  using prose::testing::bits;
+  std::string s = std::string("enabled=") + (r.enabled ? "1" : "0");
+  s += " max_rel_div=" + bits(r.max_rel_div);
+  s += " cancellations=" + std::to_string(r.cancellations);
+  s += " control_divergences=" + std::to_string(r.control_divergences);
+  if (r.has_first_divergence) {
+    s += "\nfirst=" + r.first_divergence_proc + "@" +
+         std::to_string(r.first_divergence_instr);
+  }
+  s += "\nfault=" + r.fault_proc;
+  for (const auto& [name, v] : r.vars) {
+    s += "\nvar " + name + " max=" + bits(v.max_rel_div) +
+         " writes=" + std::to_string(v.writes);
+  }
+  for (const auto& [name, p] : r.procs) {
+    s += "\nproc " + name + " isum=" + bits(p.introduced_sum) +
+         " imax=" + bits(p.introduced_max) + " max=" + bits(p.max_rel_div) +
+         " cancellations=" + std::to_string(p.cancellations) +
+         " control=" + std::to_string(p.control_divergences) +
+         " cast=" + bits(p.cast_cycles) + (p.faulted ? " faulted" : "");
+  }
+  return s;
+}
+
+/// Runs `p` shadowed and checks both halves against the goldens: the
+/// primary run must reproduce the plain line of `id` (shadowing perturbs
+/// nothing), and the report the `<id>.shadow` line.
+void expect_golden_shadow(const std::string& id, const CompiledProgram& p,
+                          VmOptions vopts = {}) {
+  vopts.shadow = true;
+  Vm vm(&p, vopts);
+  const Executed e = execute(vm);
+  expect_golden_run(id, e);
+  const sim::ShadowReport report = vm.shadow_report();
+  expect_golden(id + ".shadow vars=" + std::to_string(report.vars.size()) +
+                " procs=" + std::to_string(report.procs.size()) +
+                " report=" + hex64(fnv1a64(render_shadow(report))));
+}
+
 /// A workload touching every handler family: mixed-kind arithmetic, casts,
 /// loops (fused loop-cond+branch), array load/op and op/store (fused),
 /// an if chain (fused cmp+branch), intrinsics, calls, and a print.
@@ -145,6 +188,7 @@ TEST(VmDispatch, MixedWorkloadIdenticalAcrossEngines) {
   expect_same_run(sw, threaded, "switch vs threaded");
   expect_golden_run("program.mixed", sw);
   expect_golden_run("program.mixed", threaded);
+  expect_golden_shadow("program.mixed", p);
   // Both dispatch loops run the same fused stream, so they agree on exactly
   // how many superinstructions they dispatched.
   EXPECT_GT(sw.run.fused.pairs(), 0u);
@@ -198,6 +242,7 @@ end module m
   expect_same_run(sw, threaded, "fault: switch vs threaded");
   expect_golden_run("program.fault", sw);
   expect_golden_run("program.fault", threaded);
+  expect_golden_shadow("program.fault", p);
 }
 
 TEST(VmDispatch, NonFiniteTrapIdenticalAcrossEngines) {
@@ -217,6 +262,7 @@ end module m
   expect_same_run(sw, threaded, "trap: switch vs threaded");
   expect_golden_run("program.trap", sw);
   expect_golden_run("program.trap", threaded);
+  expect_golden_shadow("program.trap", p);
 }
 
 TEST(VmDispatch, TimeoutIdenticalAcrossEngines) {
@@ -244,6 +290,7 @@ end module m
   expect_same_run(sw, threaded, "timeout: switch vs threaded");
   expect_golden_run("program.timeout", sw);
   expect_golden_run("program.timeout", threaded);
+  expect_golden_shadow("program.timeout", p, vopts);
 }
 
 /// Custom-format (k-level) arithmetic: every *Fmt handler (add, sub, mul,
@@ -299,6 +346,7 @@ TEST(VmDispatch, FormatOpsMatchGoldens) {
     expect_same_run(on, off, "fmt: fuse on vs off");
     expect_golden_run("program.fmt", on);
   }
+  expect_golden_shadow("program.fmt", p);
 }
 
 TEST(VmDispatch, FormatOverflowFaultsMatchGoldens) {
@@ -333,6 +381,82 @@ end module m
     EXPECT_EQ(c.run.status.code(), StatusCode::kRuntimeFault);
     expect_golden_run("program.fmt_copy_overflow", c);
   }
+  expect_golden_shadow("program.fmt_overflow", arith);
+  expect_golden_shadow("program.fmt_copy_overflow", copy);
+}
+
+/// The handlers no model reaches: kCastInt in all three rounding modes
+/// (int, floor, nint), kPowF32, kCmpNe and kOr left unfused by logical
+/// assignments, and kFusedCmpNeJmp from an `if (a /= b)`.
+const char* kAllOpsSource = R"f(
+module m
+  real(kind=4) :: p4, q4
+  real(kind=8) :: out
+  integer :: n
+contains
+  subroutine go()
+    integer :: i, k, lo, near
+    real(kind=8) :: x
+    logical :: ne, either
+    out = 0.0d0
+    n = 0
+    p4 = 1.5
+    do i = 1, 12
+      x = dble(i) * 0.7d0 - 4.1d0
+      k = int(x)
+      lo = floor(x)
+      near = nint(x)
+      q4 = p4 ** real(x)
+      ne = lo /= near
+      either = ne .or. k /= lo
+      if (k /= near) then
+        n = n + 1
+      end if
+      if (either) then
+        out = out + dble(q4)
+      end if
+    end do
+    print *, 'allops', out, n, k, lo, near
+  end subroutine go
+end module m
+)f";
+
+TEST(VmDispatch, AllOpsProgramMatchesGoldens) {
+  const CompiledProgram p = compile_src(kAllOpsSource);
+  // The ops are on the program's one straight-line loop body, so being in
+  // the decoded streams means being dispatched; the golden's op counts pin
+  // how often.
+  const auto has = [](const sim::DecodedProgram& d, sim::XOp op) {
+    return std::any_of(d.code.begin(), d.code.end(),
+                       [op](const sim::DecodedInstr& in) { return in.op == op; });
+  };
+  auto fused = sim::decode(p, sim::DecodeOptions{.fuse = true});
+  auto unfused = sim::decode(p, sim::DecodeOptions{.fuse = false});
+  ASSERT_TRUE(fused.is_ok() && unfused.is_ok());
+  for (const sim::XOp op :
+       {sim::XOp::kCastInt, sim::XOp::kPowF32, sim::XOp::kCmpNe, sim::XOp::kOr,
+        sim::XOp::kFusedCmpNeJmp}) {
+    EXPECT_TRUE(has(*fused.value(), op)) << static_cast<int>(op);
+  }
+  for (const std::uint8_t mode : {0, 1, 2}) {
+    EXPECT_TRUE(std::any_of(unfused.value()->code.begin(), unfused.value()->code.end(),
+                            [mode](const sim::DecodedInstr& in) {
+                              return in.op == sim::XOp::kCastInt && in.sub == mode;
+                            }))
+        << "kCastInt rounding mode " << static_cast<int>(mode);
+  }
+
+  for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+    VmOptions fused_off;
+    fused_off.fuse = false;
+    const Executed on = run_with(p, d);
+    const Executed off = run_with(p, d, fused_off);
+    ASSERT_TRUE(on.run.status.is_ok()) << on.run.status.to_string();
+    expect_same_run(on, off, "allops: fuse on vs off");
+    EXPECT_GT(on.run.fused.cmp_jmp, 0u);
+    expect_golden_run("program.allops", on);
+  }
+  expect_golden_shadow("program.allops", p);
 }
 
 TEST(VmDispatch, ShadowRunsUnfusedDecodedStream) {
