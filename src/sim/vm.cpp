@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-namespace prose::sim {
+#include "sim/vm_shadow.h"
 
-using ftn::Intrinsic;
+namespace prose::sim {
 
 // ---------------------------------------------------------------------------
 // ArrayStorage
@@ -40,34 +40,6 @@ void ArrayStorage::enable_shadow() {
 // ---------------------------------------------------------------------------
 // Vm
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/// Relative divergence of a primary value from its binary64 shadow. Bounded
-/// by 2 for finite pairs (a value flushed to zero scores exactly 1); +inf
-/// when either side is non-finite. Symmetric, so downstream scoring needs no
-/// clamping.
-double rel_div(double primary, double shadow) {
-  if (primary == shadow) return 0.0;
-  const double diff = std::abs(primary - shadow);
-  const double scale = std::max(std::abs(primary), std::abs(shadow));
-  if (!std::isfinite(diff)) return std::numeric_limits<double>::infinity();
-  return diff / scale;
-}
-
-/// First-divergence threshold: well above one binary32 rounding (~6e-8), so
-/// the recorded site marks the onset of accumulated error, not the first
-/// benign rounding.
-constexpr double kFirstDivergence = 1e-6;
-
-/// Catastrophic-cancellation detector thresholds: an effective subtraction
-/// whose primary result drops this many binade exponents below the larger
-/// operand has lost most of the mantissa (binary32 carries 24 bits,
-/// binary64 carries 53).
-constexpr int kCancelBitsF32 = 20;
-constexpr int kCancelBitsF64 = 40;
-
-}  // namespace
 
 Vm::Vm(const CompiledProgram* program, VmOptions options)
     : program_(program),
@@ -308,7 +280,7 @@ Status Vm::pop_frame(std::int32_t& pc) {
             shadow_globals_[static_cast<std::size_t>(arg.wb_slot)] = shadow_value;
             if (global_var_[static_cast<std::size_t>(arg.wb_slot)] >= 0) {
               note_shadow_var(global_var_[static_cast<std::size_t>(arg.wb_slot)],
-                              rel_div(v, shadow_value));
+                              shadow_detail::rel_div(v, shadow_value));
             }
           }
           break;
@@ -420,18 +392,9 @@ RunResult Vm::call(const std::string& qualified_proc) {
 }
 
 // ---------------------------------------------------------------------------
-// Shadow execution
+// Shadow execution: tables, fault attribution, the report. The
+// per-instruction hooks are in vm_shadow.h.
 // ---------------------------------------------------------------------------
-//
-// Every scalar slot, module scalar, and array element carries a binary64
-// shadow value — "what the all-binary64 run would have computed" — updated
-// in lock-step with the primary mixed-precision execution. The invariants:
-//   * control flow, subscripts, and loop bounds come from the primary values
-//     (a shadow-divergent branch is *counted*, never taken);
-//   * narrowing sites (kCastF32, kind-4 stores, casting array copies) leave
-//     the shadow unrounded — that is where primary and shadow part ways;
-//   * nothing here touches the clock, the op-mix, the timers, or any primary
-//     state, so a shadowed run is bit-identical in cycles and outcomes.
 
 std::int32_t Vm::shadow_var_index(const std::string& name) {
   if (name.empty()) return -1;
@@ -471,44 +434,6 @@ void Vm::init_shadow_tables() {
   }
 }
 
-void Vm::note_shadow_var(std::int32_t var, double div) {
-  ShadowVarStats& vs = shadow_vars_[static_cast<std::size_t>(var)];
-  vs.writes += 1;
-  if (div > vs.max_rel_div) vs.max_rel_div = div;
-}
-
-void Vm::note_shadow_div(double div, std::int32_t proc, std::int32_t pc) {
-  if (div <= 0.0) return;
-  if (div > shadow_max_div_) shadow_max_div_ = div;
-  ShadowProcStats& ps = shadow_procs_[static_cast<std::size_t>(proc)];
-  if (div > ps.max_rel_div) ps.max_rel_div = div;
-  if (first_div_proc_ < 0 && div > kFirstDivergence) {
-    first_div_proc_ = proc;
-    first_div_instr_ = pc;
-  }
-}
-
-void Vm::note_shadow_write(std::int32_t dst, const Frame& frame, std::int32_t pc) {
-  const std::size_t at = frame.slot_base + static_cast<std::size_t>(dst);
-  const double div = rel_div(slots_[at], shadow_slots_[at]);
-  note_shadow_div(div, frame.proc, pc);
-  const auto& vars = slot_var_[static_cast<std::size_t>(frame.proc)];
-  if (static_cast<std::size_t>(dst) < vars.size() &&
-      vars[static_cast<std::size_t>(dst)] >= 0) {
-    note_shadow_var(vars[static_cast<std::size_t>(dst)], div);
-  }
-}
-
-void Vm::shadow_branch(const Instr& in, const Frame& frame) {
-  const std::size_t at = frame.slot_base + static_cast<std::size_t>(in.a);
-  const bool primary_taken = slots_[at] != 0.0;
-  const bool shadow_taken = shadow_slots_[at] != 0.0;
-  if (primary_taken != shadow_taken) {
-    ++shadow_control_divs_;
-    ++shadow_procs_[static_cast<std::size_t>(frame.proc)].control_divergences;
-  }
-}
-
 void Vm::note_shadow_fault(const Status& status) {
   if (frames_.empty()) return;
   const Frame& f = frames_.back();
@@ -542,359 +467,6 @@ void Vm::note_shadow_fault(const Status& status) {
       break;
   }
   if (var >= 0) note_shadow_var(var, inf);
-}
-
-void Vm::shadow_step(const Instr& in, const Frame& frame, std::int32_t pc) {
-  const std::size_t base = frame.slot_base;
-  const auto S = [&](std::int32_t idx) -> double {
-    return slots_[base + static_cast<std::size_t>(idx)];
-  };
-  const auto SS = [&](std::int32_t idx) -> double& {
-    return shadow_slots_[base + static_cast<std::size_t>(idx)];
-  };
-  const auto ARR = [&](std::int32_t idx) -> ArrayStorage* {
-    return frame.arrays[static_cast<std::size_t>(idx)];
-  };
-  ShadowProcStats& ps = shadow_procs_[static_cast<std::size_t>(frame.proc)];
-
-  // Per-op "introduced" divergence: how much worse the result diverges than
-  // its worst operand — error born at this site, not inherited.
-  const auto note_arith = [&](double operand_div) {
-    const double result_div = rel_div(S(in.dst), SS(in.dst));
-    double introduced = std::max(0.0, result_div - operand_div);
-    // rel_div is ≤ 2 for finite pairs; clamp the non-finite-shadow case so
-    // one NaN cannot swamp a procedure's finite blame sum.
-    if (!std::isfinite(introduced)) introduced = 2.0;
-    if (introduced > 0.0) {
-      ps.introduced_sum += introduced;
-      if (introduced > ps.introduced_max) ps.introduced_max = introduced;
-    }
-  };
-  const auto operand_div1 = [&] { return rel_div(S(in.a), SS(in.a)); };
-  const auto operand_div2 = [&] {
-    return std::max(rel_div(S(in.a), SS(in.a)), rel_div(S(in.b), SS(in.b)));
-  };
-  // Catastrophic cancellation: an effective subtraction of nearly equal
-  // shadow operands whose primary result drops most of its mantissa's worth
-  // of binade exponents (complete cancellation to ±0 always counts).
-  const auto note_cancellation = [&](double sx, double sy, bool f32) {
-    if (sx == 0.0 || sy == 0.0 || !std::isfinite(sx) || !std::isfinite(sy)) return;
-    if ((sx > 0.0) == (sy > 0.0)) return;  // same effective sign: no cancel
-    const double big = std::max(std::abs(sx), std::abs(sy));
-    const double pr = std::abs(S(in.dst));
-    const int drop = pr == 0.0 ? std::numeric_limits<int>::max()
-                               : std::ilogb(big) - std::ilogb(pr);
-    if (drop >= (f32 ? kCancelBitsF32 : kCancelBitsF64)) {
-      ++shadow_cancellations_;
-      ++ps.cancellations;
-    }
-  };
-
-  switch (in.op) {
-    case Op::kLoadConst:
-      SS(in.dst) = in.imm;
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    case Op::kMov:
-      SS(in.dst) = SS(in.a);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    case Op::kCastF32: {
-      // Narrowing never rounds the shadow; the primary rounding shows up as
-      // introduced divergence right here.
-      const double od = operand_div1();
-      SS(in.dst) = SS(in.a);
-      note_arith(od);
-      ps.cast_cycles += in.cost * frame.scale;
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kCastF64:
-      SS(in.dst) = SS(in.a);
-      ps.cast_cycles += in.cost * frame.scale;
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    // Integer results track the primary exactly — subscripts, loop counters,
-    // and iteration counts must be common to both executions.
-    case Op::kCastInt:
-    case Op::kAddI: case Op::kSubI: case Op::kMulI: case Op::kDivI:
-    case Op::kPowI: case Op::kNegI:
-    case Op::kArraySize:
-      SS(in.dst) = S(in.dst);
-      break;
-    case Op::kLoadGlobal:
-      SS(in.dst) = shadow_globals_[static_cast<std::size_t>(in.aux)];
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    case Op::kStoreGlobal: {
-      const double sv = SS(in.a);
-      shadow_globals_[static_cast<std::size_t>(in.aux)] = sv;
-      const double div =
-          rel_div(globals_[static_cast<std::size_t>(in.aux)], sv);
-      note_shadow_div(div, frame.proc, pc);
-      if (global_var_[static_cast<std::size_t>(in.aux)] >= 0) {
-        note_shadow_var(global_var_[static_cast<std::size_t>(in.aux)], div);
-      }
-      break;
-    }
-
-    case Op::kAddF32: case Op::kAddF64: {
-      const double od = operand_div2();
-      note_cancellation(SS(in.a), SS(in.b), in.op == Op::kAddF32);
-      SS(in.dst) = SS(in.a) + SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kSubF32: case Op::kSubF64: {
-      const double od = operand_div2();
-      note_cancellation(SS(in.a), -SS(in.b), in.op == Op::kSubF32);
-      SS(in.dst) = SS(in.a) - SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kMulF32: case Op::kMulF64: {
-      const double od = operand_div2();
-      SS(in.dst) = SS(in.a) * SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kDivF32: case Op::kDivF64: {
-      const double od = operand_div2();
-      SS(in.dst) = SS(in.a) / SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kPowF32: case Op::kPowF64: {
-      const double od = operand_div2();
-      SS(in.dst) = std::pow(SS(in.a), SS(in.b));
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kNegF32: case Op::kNegF64: case Op::kNegFmt:
-      SS(in.dst) = -SS(in.a);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-
-    // Parameterized-format ops: the shadow stays binary64 (unquantized), so
-    // the primary quantization appears as introduced divergence here, exactly
-    // as the binary32 ops above. Cancellation thresholds pick the f32 tier
-    // when the format carries no more mantissa than binary32.
-    case Op::kAddFmt: {
-      const double od = operand_div2();
-      note_cancellation(SS(in.a), SS(in.b),
-                        prec::decode_kind(in.kind).man_bits <= 23);
-      SS(in.dst) = SS(in.a) + SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kSubFmt: {
-      const double od = operand_div2();
-      note_cancellation(SS(in.a), -SS(in.b),
-                        prec::decode_kind(in.kind).man_bits <= 23);
-      SS(in.dst) = SS(in.a) - SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kMulFmt: {
-      const double od = operand_div2();
-      SS(in.dst) = SS(in.a) * SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kDivFmt: {
-      const double od = operand_div2();
-      SS(in.dst) = SS(in.a) / SS(in.b);
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kPowFmt: {
-      const double od = operand_div2();
-      SS(in.dst) = std::pow(SS(in.a), SS(in.b));
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kCastFmt: {
-      const double od = operand_div1();
-      SS(in.dst) = SS(in.a);
-      note_arith(od);
-      ps.cast_cycles += in.cost * frame.scale;
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-
-    // Predicates are computed from the shadow values (so kJmpIfFalse can
-    // detect control divergence) but never feed arithmetic.
-    case Op::kCmpEq: SS(in.dst) = SS(in.a) == SS(in.b) ? 1.0 : 0.0; break;
-    case Op::kCmpNe: SS(in.dst) = SS(in.a) != SS(in.b) ? 1.0 : 0.0; break;
-    case Op::kCmpLt: SS(in.dst) = SS(in.a) < SS(in.b) ? 1.0 : 0.0; break;
-    case Op::kCmpLe: SS(in.dst) = SS(in.a) <= SS(in.b) ? 1.0 : 0.0; break;
-    case Op::kCmpGt: SS(in.dst) = SS(in.a) > SS(in.b) ? 1.0 : 0.0; break;
-    case Op::kCmpGe: SS(in.dst) = SS(in.a) >= SS(in.b) ? 1.0 : 0.0; break;
-    case Op::kAnd:
-      SS(in.dst) = (SS(in.a) != 0.0 && SS(in.b) != 0.0) ? 1.0 : 0.0;
-      break;
-    case Op::kOr:
-      SS(in.dst) = (SS(in.a) != 0.0 || SS(in.b) != 0.0) ? 1.0 : 0.0;
-      break;
-    case Op::kNot: SS(in.dst) = SS(in.a) == 0.0 ? 1.0 : 0.0; break;
-    case Op::kEqv:
-      SS(in.dst) = ((SS(in.a) != 0.0) == (SS(in.b) != 0.0)) ? 1.0 : 0.0;
-      break;
-    case Op::kNeqv:
-      SS(in.dst) = ((SS(in.a) != 0.0) != (SS(in.b) != 0.0)) ? 1.0 : 0.0;
-      break;
-    case Op::kLoopCond: {
-      const double i = SS(in.a);
-      const double hi = SS(in.b);
-      const double step = SS(in.c);
-      SS(in.dst) = (step > 0.0 ? i <= hi : i >= hi) ? 1.0 : 0.0;
-      break;
-    }
-
-    case Op::kIntrin1: {
-      const auto intr = static_cast<Intrinsic>(in.aux);
-      const double od = operand_div1();
-      const double x = SS(in.a);
-      double r = 0.0;
-      switch (intr) {
-        case Intrinsic::kAbs: r = std::abs(x); break;
-        case Intrinsic::kSqrt: r = std::sqrt(x); break;
-        case Intrinsic::kExp: r = std::exp(x); break;
-        case Intrinsic::kLog: r = std::log(x); break;
-        case Intrinsic::kSin: r = std::sin(x); break;
-        case Intrinsic::kCos: r = std::cos(x); break;
-        case Intrinsic::kTan: r = std::tan(x); break;
-        case Intrinsic::kAtan: r = std::atan(x); break;
-        default: r = SS(in.a); break;
-      }
-      SS(in.dst) = r;
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kIntrin2: {
-      const auto intr = static_cast<Intrinsic>(in.aux);
-      const double od = operand_div2();
-      const double x = SS(in.a);
-      const double y = SS(in.b);
-      double r = 0.0;
-      switch (intr) {
-        case Intrinsic::kMin: r = std::min(x, y); break;
-        case Intrinsic::kMax: r = std::max(x, y); break;
-        case Intrinsic::kMod: r = std::fmod(x, y); break;
-        case Intrinsic::kSign: r = y >= 0.0 ? std::abs(x) : -std::abs(x); break;
-        case Intrinsic::kAtan2: r = std::atan2(x, y); break;
-        default: r = x; break;
-      }
-      SS(in.dst) = r;
-      note_arith(od);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-
-    case Op::kLoadElem: {
-      ArrayStorage* arr = ARR(in.aux);
-      const auto idx = [&](std::int32_t s) -> std::int64_t {
-        return s < 0 ? 1 : static_cast<std::int64_t>(S(s));
-      };
-      const std::int64_t linear = arr->linearize(idx(in.a), idx(in.b), idx(in.c));
-      SS(in.dst) = arr->has_shadow() ? arr->shadow_get(linear) : arr->get(linear);
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kStoreElem: {
-      ArrayStorage* arr = ARR(in.aux);
-      const auto idx = [&](std::int32_t s) -> std::int64_t {
-        return s < 0 ? 1 : static_cast<std::int64_t>(S(s));
-      };
-      const std::int64_t linear = arr->linearize(idx(in.a), idx(in.b), idx(in.c));
-      const double sv = SS(in.dst);
-      if (arr->has_shadow()) arr->shadow_set(linear, sv);
-      const double div = rel_div(arr->get(linear), sv);
-      note_shadow_div(div, frame.proc, pc);
-      const auto var = array_var_[static_cast<std::size_t>(frame.proc)]
-                                 [static_cast<std::size_t>(in.aux)];
-      if (var >= 0) note_shadow_var(var, div);
-      break;
-    }
-    case Op::kArrayFill: {
-      ArrayStorage* arr = ARR(in.aux);
-      if (!arr->has_shadow()) break;
-      const double sv = SS(in.a);
-      for (std::int64_t i = 0; i < arr->total(); ++i) arr->shadow_set(i, sv);
-      break;
-    }
-    case Op::kArrayCopy: {
-      ArrayStorage* dst = ARR(in.aux);
-      ArrayStorage* src = ARR(in.aux2);
-      if (dst->has_shadow()) {
-        double max_div = 0.0;
-        for (std::int64_t i = 0; i < src->total(); ++i) {
-          const double sv = src->has_shadow() ? src->shadow_get(i) : src->get(i);
-          dst->shadow_set(i, sv);
-          max_div = std::max(max_div, rel_div(dst->get(i), sv));
-        }
-        note_shadow_div(max_div, frame.proc, pc);
-        const auto var = array_var_[static_cast<std::size_t>(frame.proc)]
-                                   [static_cast<std::size_t>(in.aux)];
-        if (var >= 0) note_shadow_var(var, max_div);
-      }
-      if (dst->kind() != src->kind()) {
-        // Mirror of the primary cast-cycle charge, attributed to this proc.
-        const double bytes = program_->machine.bytes_for_kind(dst->kind()) +
-                             program_->machine.bytes_for_kind(src->kind());
-        ps.cast_cycles +=
-            static_cast<double>(src->total()) *
-            (0.5 + bytes * program_->machine.mem_cost_per_byte * 0.5);
-      }
-      break;
-    }
-    case Op::kReduce: {
-      ArrayStorage* arr = ARR(in.aux);
-      const auto sval = [&](std::int64_t i) {
-        return arr->has_shadow() ? arr->shadow_get(i) : arr->get(i);
-      };
-      double acc = in.aux2 == 0 ? 0.0 : sval(0);
-      for (std::int64_t i = 0; i < arr->total(); ++i) {
-        const double v = sval(i);
-        if (in.aux2 == 0) {
-          acc += v;
-        } else if (in.aux2 == 1) {
-          acc = std::min(acc, v);
-        } else {
-          acc = std::max(acc, v);
-        }
-      }
-      SS(in.dst) = acc;
-      note_shadow_write(in.dst, frame, pc);
-      break;
-    }
-    case Op::kAllReduce:
-      SS(in.dst) = SS(in.a);
-      break;
-
-    case Op::kAllocArray: {
-      ArrayStorage* arr = ARR(in.aux);
-      if (arr != nullptr && !arr->has_shadow()) arr->enable_shadow();
-      break;
-    }
-
-    // Control transfers are handled inline (kJmpIfFalse) or inside
-    // push_frame/pop_frame (kCall/kRet, which skip this hook entirely);
-    // everything else writes no floating-point value.
-    default:
-      break;
-  }
 }
 
 ShadowReport Vm::shadow_report() const {

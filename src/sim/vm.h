@@ -29,6 +29,8 @@
 namespace prose::sim {
 
 struct DecodedProgram;  // decode.h
+struct DecodedInstr;    // decode.h
+enum class XOp : std::uint8_t;  // decode.h
 
 /// Dispatch mechanism for the VM's one engine, which runs the pre-decoded
 /// stream (decode.h). Both mechanisms are bit-identical in outcomes, error
@@ -75,7 +77,8 @@ struct VmOptions {
   /// mixed-precision primary values, and record divergence provenance
   /// (see ShadowReport). Hard invariant: shadow bookkeeping never perturbs
   /// simulated cycles, outcomes, or the OpMix — it is pure observability.
-  /// A shadow Vm runs the switch loop with shadow hooks on an unfused stream
+  /// A shadow Vm runs its own switch-loop expansion, whose every handler
+  /// inlines the shadow hook for its op (vm_shadow.h), on an unfused stream
   /// it decodes itself, regardless of `dispatch`, `fuse`, and `decoded`.
   bool shadow = false;
   /// Execution engine (see VmDispatch). kAuto resolves to the build default.
@@ -339,12 +342,17 @@ class Vm {
   StatusOr<const DecodedProgram*> ensure_decoded();
 
   // --- shadow execution (all no-ops unless options_.shadow) ---
+  // The per-instruction hooks are inline, in vm_shadow.h: shadow_step is
+  // instantiated once per decoded op by the shadow engine's handlers.
   void init_shadow_tables();
   std::int32_t shadow_var_index(const std::string& name);
-  void shadow_step(const Instr& in, const Frame& frame, std::int32_t pc);
-  void shadow_branch(const Instr& in, const Frame& frame);
+  template <XOp kOp>
+  void shadow_step(const DecodedInstr& in, const Frame& frame, std::int32_t pc,
+                   const DecodedProgram& decoded);
+  void shadow_branch(const DecodedInstr& in, const Frame& frame);
   void note_shadow_div(double div, std::int32_t proc, std::int32_t pc);
-  void note_shadow_write(std::int32_t dst, const Frame& frame, std::int32_t pc);
+  void note_shadow_write(std::int32_t dst, double div, const Frame& frame,
+                         std::int32_t pc);
   void note_shadow_var(std::int32_t var, double div);
   void note_shadow_fault(const Status& status);
 

@@ -15,6 +15,7 @@
 #include "ftn/symbols.h"
 #include "sim/decode.h"
 #include "sim/vm.h"
+#include "sim/vm_shadow.h"
 
 namespace prose::sim {
 
