@@ -147,6 +147,44 @@ end module m
   EXPECT_GE(report.procs.at("m::go").cancellations, 1u);
 }
 
+TEST(ShadowVm, CustomFormatCancellationUsesItsMantissaTier) {
+  // The same 1 + 2^-k minus 1 drops k binades. A format with no more
+  // mantissa than binary32 (e8m23) counts a drop of 22 as a cancellation,
+  // as binary32 does; a wider one (e12m40) needs binary64's 40 and does not
+  // count a drop of 25.
+  VmOptions vopts;
+  vopts.shadow = true;
+  auto h = make(R"f(
+module m
+  real(kind=1823) :: n, n1, nd
+  real(kind=2240) :: w, w1, wd
+contains
+  subroutine narrow()
+    n = 1.0000002384185791d0
+    n1 = 1.0d0
+    nd = n - n1
+  end subroutine narrow
+  subroutine wide()
+    w = 1.0000000298023224d0
+    w1 = 1.0d0
+    wd = w - w1
+  end subroutine wide
+  subroutine go()
+    call narrow()
+    call wide()
+  end subroutine go
+end module m
+)f",
+                vopts);
+  ASSERT_TRUE(h.vm->call("m::go").status.is_ok());
+  const ShadowReport report = h.vm->shadow_report();
+  EXPECT_EQ(report.cancellations, 1u);
+  ASSERT_TRUE(report.procs.count("m::narrow"));
+  EXPECT_EQ(report.procs.at("m::narrow").cancellations, 1u);
+  EXPECT_EQ(report.procs.count("m::wide") ? report.procs.at("m::wide").cancellations : 0u,
+            0u);
+}
+
 TEST(ShadowVm, NamesFaultSiteOnBinary32Overflow) {
   VmOptions vopts;
   vopts.shadow = true;
