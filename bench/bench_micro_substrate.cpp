@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrate itself: frontend
-// throughput, transformation cost, reduction cost, VM execution rate, and
-// the custom-format quantizer every k-level arithmetic op pays.
+// throughput, transformation cost, reduction cost, VM execution rate (plain
+// and shadowed), and the custom-format quantizer every k-level arithmetic
+// op pays.
 // These are the components whose per-variant cost the campaign scheduler
 // models (T0-T3 of the artifact's workflow).
 #include <benchmark/benchmark.h>
@@ -87,16 +88,23 @@ void BM_CallGraphAndFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_CallGraphAndFlow);
 
-void BM_MakeVariantWithWrappers(benchmark::State& state) {
-  const auto& rp = mpas_resolved();
-  // Lower every atom-scope declaration: maximal wrapper generation work.
+/// MPAS-A's uniform-binary32 variant: every real declaration of the atom
+/// scope lowered to kind 4.
+ftn::PrecisionAssignment mpas_uniform32() {
   ftn::PrecisionAssignment pa;
-  for (const auto& sym : rp.symbols.all()) {
+  for (const auto& sym : mpas_resolved().symbols.all()) {
     if (sym.is_variable() && sym.type.is_real() &&
         sym.module_name == "atm_time_integration") {
       pa.kinds[sym.decl_node] = 4;
     }
   }
+  return pa;
+}
+
+void BM_MakeVariantWithWrappers(benchmark::State& state) {
+  const auto& rp = mpas_resolved();
+  // Lower every atom-scope declaration: maximal wrapper generation work.
+  const ftn::PrecisionAssignment pa = mpas_uniform32();
   for (auto _ : state) {
     auto variant = ftn::make_variant(rp.program, pa);
     benchmark::DoNotOptimize(variant);
@@ -144,6 +152,31 @@ void BM_VmFullModelRun(benchmark::State& state) {
   state.SetLabel("items = VM instructions");
 }
 BENCHMARK(BM_VmFullModelRun);
+
+/// Shadow execution (VmOptions::shadow, the engine behind
+/// Evaluator::diagnose) of MPAS-A's uniform-binary32 variant, whose binary32
+/// values diverge from their binary64 shadows, so every divergence tally is
+/// live. Compare its rate with BM_VmFullModelRun's.
+void BM_VmShadowRun(benchmark::State& state) {
+  auto variant = ftn::make_variant(mpas_resolved().program, mpas_uniform32());
+  PROSE_CHECK(variant.is_ok());
+  auto compiled = sim::compile(variant.value(), sim::MachineModel{});
+  PROSE_CHECK(compiled.is_ok());
+  sim::VmOptions vopts;
+  vopts.shadow = true;
+  sim::Vm vm(&compiled.value(), vopts);
+  std::uint64_t instructions = 0;
+  for (auto _ : state) {
+    vm.reset();
+    auto r = vm.call("mpas_model::run_model");
+    PROSE_CHECK(r.status.is_ok());
+    PROSE_CHECK(vm.shadow_report().max_rel_div > 0.0);
+    instructions += r.instructions;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(instructions));
+  state.SetLabel("items = VM instructions");
+}
+BENCHMARK(BM_VmShadowRun);
 
 /// One Quantizer::round per item, resolved once per format as the VM does,
 /// over binary64 values spread across 2^-24..2^16 (binary16's subnormal
