@@ -164,6 +164,8 @@ class Quantizer {
     bool overflowed = false;
     return round(x, overflowed);
   }
+  /// The format's significand bits M (52 for the identity).
+  [[nodiscard]] int man_bits() const { return man_bits_; }
 
  private:
   static constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
