@@ -2,11 +2,19 @@
 // search run with any worker count produces a SearchResult bit-identical to
 // the serial run — same records in the same order, same noise-stream draws
 // (hence the exact same speedup doubles), same cache-hit accounting.
+//
+// Each model's serial SearchResult is checked in as one line of
+// tests/golden/search_goldens.txt. jobs1 checks the serial run against it
+// and jobs2/4/8 their own runs, so by transitivity every worker count
+// reproduces the serial result without re-running it in each test process.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "golden.h"
 #include "models/models.h"
+#include "support/strings.h"
 #include "support/thread_pool.h"
 #include "tuner/search.h"
 
@@ -66,46 +74,60 @@ void expect_same_result(const SearchResult& serial, const SearchResult& parallel
   EXPECT_EQ(serial.statically_skipped, parallel.statically_skipped);
 }
 
-const SearchResult& serial_funarc() {
-  static const SearchResult result = run_delta_debug(models::funarc_target(), 1);
-  return result;
-}
-
-const SearchResult& serial_mpas() {
-  static const SearchResult result = run_delta_debug(models::mpas_target(), 1);
-  return result;
-}
-
-const SearchResult& serial_adcirc() {
-  static const SearchResult result = run_delta_debug(models::adcirc_target(), 1);
-  return result;
-}
-
-const SearchResult& serial_mom6() {
-  static const SearchResult result = run_delta_debug(models::mom6_target(), 1);
-  return result;
+/// The golden line of a search result: every field expect_same_result
+/// compares, doubles as bit patterns, with the records folded into one
+/// FNV-1a hash of their rendering.
+std::string search_line(const std::string& id, const SearchResult& r) {
+  using prose::testing::bits;
+  std::string records;
+  for (const VariantRecord& rec : r.records) {
+    const Evaluation& e = rec.eval;
+    records += std::to_string(rec.id) + " " + rec.config.key() + " " +
+               to_string(e.outcome) + " " + std::to_string(e.detail.size()) +
+               ":" + e.detail + " " + bits(e.metric) + " " + bits(e.error) +
+               " " + bits(e.hotspot_cycles) + " " + bits(e.whole_cycles) + " " +
+               bits(e.cast_cycles) + " " + bits(e.measured_cycles) + " " +
+               bits(e.speedup) + " " + bits(e.fraction32) + " " +
+               std::to_string(e.wrappers) + " " + bits(e.node_seconds);
+    for (const auto& [proc, mean] : e.proc_mean_cycles) {
+      records += " mean:" + proc + "=" + bits(mean);
+    }
+    for (const auto& [proc, calls] : e.proc_calls) {
+      records += " calls:" + proc + "=" + std::to_string(calls);
+    }
+    records += '\n';
+  }
+  return id + " records=" + std::to_string(r.records.size()) +
+         " hash=" + prose::testing::hex64(fnv1a64(records)) +
+         " best=" + (r.best.has_value() ? r.best->key() : "none") +
+         " best_speedup=" + bits(r.best_speedup) +
+         " accepted=" + r.accepted.key() +
+         " one_minimal=" + (r.one_minimal ? "1" : "0") +
+         " budget_exhausted=" + (r.budget_exhausted ? "1" : "0") +
+         " cache_hits=" + std::to_string(r.cache_hits) +
+         " statically_skipped=" + std::to_string(r.statically_skipped);
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ParallelDeterminism, FunarcBitIdenticalToSerial) {
-  expect_same_result(serial_funarc(),
-                     run_delta_debug(models::funarc_target(), GetParam()));
+  prose::testing::expect_golden(search_line(
+      "search.funarc", run_delta_debug(models::funarc_target(), GetParam())));
 }
 
 TEST_P(ParallelDeterminism, MpasBitIdenticalToSerial) {
-  expect_same_result(serial_mpas(),
-                     run_delta_debug(models::mpas_target(), GetParam()));
+  prose::testing::expect_golden(search_line(
+      "search.mpas", run_delta_debug(models::mpas_target(), GetParam())));
 }
 
 TEST_P(ParallelDeterminism, AdcircBitIdenticalToSerial) {
-  expect_same_result(serial_adcirc(),
-                     run_delta_debug(models::adcirc_target(), GetParam()));
+  prose::testing::expect_golden(search_line(
+      "search.adcirc", run_delta_debug(models::adcirc_target(), GetParam())));
 }
 
 TEST_P(ParallelDeterminism, Mom6BitIdenticalToSerial) {
-  expect_same_result(serial_mom6(),
-                     run_delta_debug(models::mom6_target(), GetParam()));
+  prose::testing::expect_golden(search_line(
+      "search.mom6", run_delta_debug(models::mom6_target(), GetParam())));
 }
 
 INSTANTIATE_TEST_SUITE_P(Jobs, ParallelDeterminism,
@@ -122,7 +144,8 @@ TEST(ParallelDeterminism, SingleWorkerPoolMatchesSerialFallback) {
   ThreadPool pool(1);
   SearchOptions opts;
   opts.pool = &pool;
-  expect_same_result(serial_funarc(), delta_debug_search(**ev, opts));
+  prose::testing::expect_golden(
+      search_line("search.funarc", delta_debug_search(**ev, opts)));
 }
 
 TEST(ParallelDeterminism, VariantCapBitIdenticalUnderParallelism) {
