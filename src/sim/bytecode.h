@@ -18,6 +18,10 @@
 namespace prose::sim {
 
 enum class Op : std::uint8_t {
+  // The compiler never emits kNop. It stays as the zero default of
+  // Instr::op, and VmVerify.FallThroughProcedureRejected blanks a
+  // procedure's terminator to it to open a fall-through; the static opcode
+  // census (VmGolden.EveryOpcodeIsDecodedInSomeGoldenProgram) exempts it.
   kNop = 0,
   kLoadConst,   // dst <- imm (pre-rounded to the slot's kind)
   kMov,         // dst <- slot a (same kind)
@@ -58,11 +62,9 @@ enum class Op : std::uint8_t {
   kCall,        // aux = callee proc index, aux2 = call-site meta index
   kRet,
   kPrint,       // appends formatted args to the VM print log; aux2 = meta
-  kHalt,
 
   // Parameterized-format arithmetic (src/prec): compute in binary64, then
-  // quantize the result to the instruction's custom kind. Appended after
-  // kHalt so every legacy opcode keeps its encoded value.
+  // quantize the result to the instruction's custom kind.
   kAddFmt, kSubFmt, kMulFmt, kDivFmt, kPowFmt,
   kNegFmt,
   kCastFmt,     // dst <- quantize(a) to the instruction's kind

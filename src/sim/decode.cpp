@@ -115,7 +115,6 @@ XOp plain_xop(Op op) {
     case Op::kCall: return XOp::kCall;
     case Op::kRet: return XOp::kRet;
     case Op::kPrint: return XOp::kPrint;
-    case Op::kHalt: return XOp::kHalt;
     case Op::kAddFmt: return XOp::kAddFmt;
     case Op::kSubFmt: return XOp::kSubFmt;
     case Op::kMulFmt: return XOp::kMulFmt;
@@ -160,21 +159,6 @@ bool fusable_int_arith(Op op, int* which) {
 }
 
 }  // namespace
-
-const char* fused_family_name(std::uint8_t family) {
-  switch (family) {
-    case kFuseLoopCondJmp: return "loop-cond-jmp";
-    case kFuseIncJmp: return "inc-jmp";
-    case kFuseCmpJmp: return "cmp-jmp";
-    case kFuseCastMov: return "cast-mov";
-    case kFuseCastStore: return "cast-store";
-    case kFuseLoadArith: return "load-arith";
-    case kFuseArithStore: return "arith-store";
-    case kFuseConstArith: return "const-arith";
-    case kFuseLoadConst: return "load-const";
-    default: return "unknown";
-  }
-}
 
 StatusOr<std::shared_ptr<const DecodedProgram>> decode(
     const CompiledProgram& program, const DecodeOptions& options) {
@@ -315,7 +299,6 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
       switch (in.op) {
         case Op::kNop:
         case Op::kLoopEnd:
-        case Op::kHalt:
         case Op::kRet:
           break;
         case Op::kLoadConst:
@@ -556,7 +539,7 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
     // A procedure must not be able to fall off the end of its code range:
     // its last instruction has to transfer control unconditionally.
     const Instr& last = code[static_cast<std::size_t>(r.last - 1)];
-    if (last.op != Op::kRet && last.op != Op::kJmp && last.op != Op::kHalt) {
+    if (last.op != Op::kRet && last.op != Op::kJmp) {
       return err(r.last - 1, "procedure can fall through its code range");
     }
   }

@@ -104,7 +104,6 @@ namespace prose::sim {
   X(kCall)                                                                \
   X(kRet)                                                                 \
   X(kPrint)                                                               \
-  X(kHalt)                                                                \
   /* --- superinstructions: two bytecode ops, one dispatch --- */         \
   X(kFusedLoopCondJmp)      /* kLoopCond + kJmpIfFalse (loop head) */     \
   X(kFusedIncJmp)           /* kAddI + kJmp (loop back edge) */           \
@@ -187,8 +186,6 @@ enum FusedFamily : std::uint8_t {
   kFuseLoadConst,
   kNumFusedFamilies,
 };
-
-[[nodiscard]] const char* fused_family_name(std::uint8_t family);
 
 /// Op-mix class of a decoded instruction, precomputed so the hot loop does
 /// an array increment instead of re-classifying the opcode. The one op-mix

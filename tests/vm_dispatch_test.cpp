@@ -13,6 +13,7 @@
 #include <string>
 
 #include "golden.h"
+#include "golden_programs.h"
 #include "models/models.h"
 #include "prec/format.h"
 #include "sim/compile.h"
@@ -28,6 +29,15 @@ namespace {
 
 using prose::testing::expect_golden;
 using prose::testing::hex64;
+using prose::testing::kAllOpsSource;
+using prose::testing::kFaultSource;
+using prose::testing::kFmtCopyOverflowSource;
+using prose::testing::kFmtOverflowSource;
+using prose::testing::kFmtSource;
+using prose::testing::kLogicSource;
+using prose::testing::kMixedSource;
+using prose::testing::kTimeoutSource;
+using prose::testing::kTrapSource;
 using prose::testing::must_resolve;
 using sim::CompiledProgram;
 using sim::RunResult;
@@ -141,45 +151,6 @@ void expect_golden_shadow(const std::string& id, const CompiledProgram& p,
                 " report=" + hex64(fnv1a64(render_shadow(report))));
 }
 
-/// A workload touching every handler family: mixed-kind arithmetic, casts,
-/// loops (fused loop-cond+branch), array load/op and op/store (fused),
-/// an if chain (fused cmp+branch), intrinsics, calls, and a print.
-const char* kMixedSource = R"f(
-module m
-  real(kind=4) :: s4
-  real(kind=8) :: out, acc
-  real(kind=8) :: a(64), b(64)
-contains
-  subroutine go()
-    integer :: i
-    acc = 0.0d0
-    do i = 1, 64
-      a(i) = sin(dble(i) * 0.1d0)
-      b(i) = a(i) * 2.0d0
-    end do
-    do i = 1, 64
-      s4 = real(b(i))
-      if (s4 > 0.5) then
-        acc = acc + dble(s4)
-      else
-        acc = acc - a(i) / 3.0d0
-      end if
-    end do
-    out = helper(acc) + sqrt(abs(acc))
-    print *, 'acc', acc
-  end subroutine go
-  function helper(x) result(y)
-    real(kind=8), intent(in) :: x
-    real(kind=8) :: y
-    integer :: j
-    y = x
-    do j = 1, 10
-      y = y * 1.01d0 + mod(x, 2.0d0)
-    end do
-  end function helper
-end module m
-)f";
-
 TEST(VmDispatch, MixedWorkloadIdenticalAcrossEngines) {
   const CompiledProgram p = compile_src(kMixedSource);
   const Executed sw = run_with(p, VmDispatch::kSwitch);
@@ -221,20 +192,7 @@ TEST(VmDispatch, FusionNeutrality) {
 TEST(VmDispatch, RuntimeFaultIdenticalAcrossEngines) {
   // Out-of-bounds subscript hit mid-loop: same fault message, same partial
   // accounting at the moment of the fault.
-  const CompiledProgram p = compile_src(R"f(
-module m
-  real(kind=8) :: a(8), out
-contains
-  subroutine go()
-    integer :: i
-    out = 0.0d0
-    do i = 1, 9
-      a(i) = dble(i)
-      out = out + a(i)
-    end do
-  end subroutine go
-end module m
-)f");
+  const CompiledProgram p = compile_src(kFaultSource);
   const Executed sw = run_with(p, VmDispatch::kSwitch);
   const Executed threaded = run_with(p, VmDispatch::kThreaded);
   ASSERT_FALSE(sw.run.status.is_ok());
@@ -246,16 +204,7 @@ end module m
 }
 
 TEST(VmDispatch, NonFiniteTrapIdenticalAcrossEngines) {
-  const CompiledProgram p = compile_src(R"f(
-module m
-  real(kind=8) :: z, out
-contains
-  subroutine go()
-    z = 0.0d0
-    out = 1.0d0 / z
-  end subroutine go
-end module m
-)f");
+  const CompiledProgram p = compile_src(kTrapSource);
   const Executed sw = run_with(p, VmDispatch::kSwitch);
   const Executed threaded = run_with(p, VmDispatch::kThreaded);
   ASSERT_FALSE(sw.run.status.is_ok());
@@ -269,19 +218,7 @@ TEST(VmDispatch, TimeoutIdenticalAcrossEngines) {
   // A cycle budget that trips mid-run: both dispatch loops check the budget
   // on the same 256-instruction stride, fused pairs included, so the timeout
   // fires at the identical instruction count and simulated time.
-  const CompiledProgram p = compile_src(R"f(
-module m
-  real(kind=8) :: out
-contains
-  subroutine go()
-    integer :: i
-    out = 0.0d0
-    do i = 1, 100000
-      out = out + dble(i) * 1.0000001d0
-    end do
-  end subroutine go
-end module m
-)f");
+  const CompiledProgram p = compile_src(kTimeoutSource);
   VmOptions vopts;
   vopts.cycle_budget = 5000.0;
   const Executed sw = run_with(p, VmDispatch::kSwitch, vopts);
@@ -292,47 +229,6 @@ end module m
   expect_golden_run("program.timeout", threaded);
   expect_golden_shadow("program.timeout", p, vopts);
 }
-
-/// Custom-format (k-level) arithmetic: every *Fmt handler (add, sub, mul,
-/// div, pow, neg, cast, module-variable store), custom-array element store,
-/// a whole-array fill and copy into a custom format, sum/minval/maxval on
-/// custom arrays, and unary and binary intrinsics with a custom result kind.
-const char* kFmtSource = R"f(
-module m
-  real(kind=1510) :: h
-  real(kind=1807) :: bsum
-  real(kind=8) :: out
-  real(kind=1510) :: ha(32)
-  real(kind=1807) :: hb(32)
-  real(kind=8) :: d(32)
-contains
-  subroutine go()
-    integer :: i
-    real(kind=1510) :: x, y, three, half
-    real(kind=1807) :: z
-    three = 3.0
-    half = 0.5
-    h = 0.0
-    hb = 0.25
-    do i = 1, 32
-      d(i) = sin(dble(i) * 0.37d0) * 100.0d0 + 1.0d-3 * dble(i)
-    end do
-    ha = d
-    do i = 1, 32
-      x = ha(i)
-      y = x * half - x / three + half ** 2
-      y = -y + abs(x) - sqrt(abs(y))
-      y = max(y, -x) + min(x, three) - sign(half, y)
-      h = h + y * half
-      z = y
-      hb(i) = z * z
-    end do
-    bsum = sum(hb)
-    out = dble(maxval(hb)) + dble(minval(ha)) + dble(sum(ha)) + dble(h)
-    print *, 'fmt', h, bsum, out
-  end subroutine go
-end module m
-)f";
 
 TEST(VmDispatch, FormatOpsMatchGoldens) {
   const CompiledProgram p = compile_src(kFmtSource);
@@ -352,27 +248,8 @@ TEST(VmDispatch, FormatOpsMatchGoldens) {
 TEST(VmDispatch, FormatOverflowFaultsMatchGoldens) {
   // binary16 tops out at 65504: an arithmetic result past it, and an array
   // copy of a binary64 value past it, are directed-overflow faults.
-  const CompiledProgram arith = compile_src(R"f(
-module m
-  real(kind=1510) :: x, y
-contains
-  subroutine go()
-    x = 300.0
-    y = x * x
-  end subroutine go
-end module m
-)f");
-  const CompiledProgram copy = compile_src(R"f(
-module m
-  real(kind=1510) :: ha(4)
-  real(kind=8) :: d(4)
-contains
-  subroutine go()
-    d = 1.0d5
-    ha = d
-  end subroutine go
-end module m
-)f");
+  const CompiledProgram arith = compile_src(kFmtOverflowSource);
+  const CompiledProgram copy = compile_src(kFmtCopyOverflowSource);
   for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
     const Executed a = run_with(arith, d);
     EXPECT_EQ(a.run.status.code(), StatusCode::kRuntimeFault);
@@ -384,42 +261,6 @@ end module m
   expect_golden_shadow("program.fmt_overflow", arith);
   expect_golden_shadow("program.fmt_copy_overflow", copy);
 }
-
-/// The handlers no model reaches: kCastInt in all three rounding modes
-/// (int, floor, nint), kPowF32, kCmpNe and kOr left unfused by logical
-/// assignments, and kFusedCmpNeJmp from an `if (a /= b)`.
-const char* kAllOpsSource = R"f(
-module m
-  real(kind=4) :: p4, q4
-  real(kind=8) :: out
-  integer :: n
-contains
-  subroutine go()
-    integer :: i, k, lo, near
-    real(kind=8) :: x
-    logical :: ne, either
-    out = 0.0d0
-    n = 0
-    p4 = 1.5
-    do i = 1, 12
-      x = dble(i) * 0.7d0 - 4.1d0
-      k = int(x)
-      lo = floor(x)
-      near = nint(x)
-      q4 = p4 ** real(x)
-      ne = lo /= near
-      either = ne .or. k /= lo
-      if (k /= near) then
-        n = n + 1
-      end if
-      if (either) then
-        out = out + dble(q4)
-      end if
-    end do
-    print *, 'allops', out, n, k, lo, near
-  end subroutine go
-end module m
-)f";
 
 TEST(VmDispatch, AllOpsProgramMatchesGoldens) {
   const CompiledProgram p = compile_src(kAllOpsSource);
@@ -457,6 +298,22 @@ TEST(VmDispatch, AllOpsProgramMatchesGoldens) {
     expect_golden_run("program.allops", on);
   }
   expect_golden_shadow("program.allops", p);
+}
+
+TEST(VmDispatch, LogicAndPowerOpsMatchGoldens) {
+  const CompiledProgram p = compile_src(kLogicSource);
+  for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+    VmOptions fused_off;
+    fused_off.fuse = false;
+    const Executed on = run_with(p, d);
+    const Executed off = run_with(p, d, fused_off);
+    ASSERT_TRUE(on.run.status.is_ok()) << on.run.status.to_string();
+    expect_same_run(on, off, "logic: fuse on vs off");
+    EXPECT_GT(on.run.fused.arith_store, 0u);
+    EXPECT_GT(on.run.fused.cast_store, 0u);
+    expect_golden_run("program.logic", on);
+  }
+  expect_golden_shadow("program.logic", p);
 }
 
 TEST(VmDispatch, ShadowRunsUnfusedDecodedStream) {
