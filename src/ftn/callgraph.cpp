@@ -117,7 +117,6 @@ CallGraph CallGraph::build(const ResolvedProgram& rp) {
   Builder(rp, g.sites_).run();
   for (std::size_t i = 0; i < g.sites_.size(); ++i) {
     g.by_caller_[g.sites_[i].caller].push_back(i);
-    g.by_callee_[g.sites_[i].callee].push_back(i);
   }
   return g;
 }
@@ -131,32 +130,10 @@ std::vector<const CallSite*> CallGraph::sites_from(SymbolId caller) const {
   return out;
 }
 
-std::vector<const CallSite*> CallGraph::sites_to(SymbolId callee) const {
-  std::vector<const CallSite*> out;
-  const auto it = by_callee_.find(callee);
-  if (it == by_callee_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto i : it->second) out.push_back(&sites_[i]);
-  return out;
-}
-
 std::vector<SymbolId> CallGraph::callees_of(SymbolId caller) const {
   std::set<SymbolId> unique;
   for (const auto* s : sites_from(caller)) unique.insert(s->callee);
   return {unique.begin(), unique.end()};
-}
-
-std::vector<SymbolId> CallGraph::reachable_from(const std::vector<SymbolId>& roots) const {
-  std::set<SymbolId> seen(roots.begin(), roots.end());
-  std::vector<SymbolId> work(roots.begin(), roots.end());
-  while (!work.empty()) {
-    const SymbolId p = work.back();
-    work.pop_back();
-    for (const SymbolId c : callees_of(p)) {
-      if (seen.insert(c).second) work.push_back(c);
-    }
-  }
-  return {seen.begin(), seen.end()};
 }
 
 bool CallGraph::is_recursive(SymbolId proc) const {

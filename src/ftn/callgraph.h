@@ -38,15 +38,11 @@ class CallGraph {
 
   [[nodiscard]] const std::vector<CallSite>& sites() const { return sites_; }
 
-  /// Call sites with the given caller / callee.
+  /// Call sites with the given caller.
   [[nodiscard]] std::vector<const CallSite*> sites_from(SymbolId caller) const;
-  [[nodiscard]] std::vector<const CallSite*> sites_to(SymbolId callee) const;
 
   /// Direct callees of a procedure (unique, sorted).
   [[nodiscard]] std::vector<SymbolId> callees_of(SymbolId caller) const;
-
-  /// All procedures reachable from `roots` (inclusive), following call edges.
-  [[nodiscard]] std::vector<SymbolId> reachable_from(const std::vector<SymbolId>& roots) const;
 
   /// True if the graph has a cycle (recursion). The VM supports recursion,
   /// but the inliner refuses to inline recursive procedures.
@@ -55,7 +51,6 @@ class CallGraph {
  private:
   std::vector<CallSite> sites_;
   std::map<SymbolId, std::vector<std::size_t>> by_caller_;
-  std::map<SymbolId, std::vector<std::size_t>> by_callee_;
 };
 
 }  // namespace prose::ftn

@@ -73,10 +73,6 @@ const char* intrinsic_name(Intrinsic i) {
   return "?";
 }
 
-bool intrinsic_is_array_reduction(Intrinsic i) {
-  return i == Intrinsic::kSum || i == Intrinsic::kMinval || i == Intrinsic::kMaxval;
-}
-
 bool intrinsic_is_collective(Intrinsic i) {
   return i == Intrinsic::kMpiAllreduceSum || i == Intrinsic::kMpiAllreduceMax ||
          i == Intrinsic::kMpiAllreduceMin;

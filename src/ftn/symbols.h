@@ -123,9 +123,6 @@ enum class Intrinsic : std::uint8_t {
 std::optional<Intrinsic> find_intrinsic(const std::string& name);
 const char* intrinsic_name(Intrinsic i);
 
-/// True for sum/minval/maxval — the intrinsics taking whole-array arguments.
-bool intrinsic_is_array_reduction(Intrinsic i);
-
 /// True for the MPI collective intrinsics.
 bool intrinsic_is_collective(Intrinsic i);
 

@@ -165,12 +165,6 @@ void stmt_text(const Stmt& s, int indent, std::ostringstream& os) {
 
 std::string unparse_expr(const Expr& expr) { return expr_text(expr, 0); }
 
-std::string unparse_stmt(const Stmt& stmt, int indent) {
-  std::ostringstream os;
-  stmt_text(stmt, indent, os);
-  return os.str();
-}
-
 std::string unparse_decl(const DeclEntity& d) {
   std::string out = to_string(d.type);
   if (d.is_parameter) out += ", parameter";

@@ -15,7 +15,6 @@ namespace prose::ftn {
 std::string unparse(const Program& program);
 std::string unparse(const Module& module);
 std::string unparse(const Procedure& proc, int indent = 0);
-std::string unparse_stmt(const Stmt& stmt, int indent = 0);
 std::string unparse_expr(const Expr& expr);
 std::string unparse_decl(const DeclEntity& decl);
 

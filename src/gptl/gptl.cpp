@@ -1,9 +1,6 @@
 #include "gptl/gptl.h"
 
 #include <algorithm>
-#include <sstream>
-
-#include "support/strings.h"
 
 namespace prose::gptl {
 
@@ -102,26 +99,6 @@ double Timers::overhead_fraction(const std::string& name) const {
   const auto s = stats(name);
   if (!s.is_ok() || s->inclusive_cycles <= 0.0) return 0.0;
   return s->overhead_cycles / s->inclusive_cycles;
-}
-
-std::string Timers::report() const {
-  std::ostringstream os;
-  os << pad_right("region", 44) << pad_left("calls", 10)
-     << pad_left("incl cycles", 16) << pad_left("excl cycles", 16)
-     << pad_left("mean/call", 14) << '\n';
-  for (const auto& r : all_stats()) {
-    os << pad_right(r.name, 44) << pad_left(std::to_string(r.calls), 10)
-       << pad_left(format_double(r.inclusive_cycles, 0), 16)
-       << pad_left(format_double(r.exclusive_cycles, 0), 16)
-       << pad_left(format_double(r.mean_call_cycles(), 1), 14) << '\n';
-  }
-  return os.str();
-}
-
-void Timers::reset() {
-  regions_.clear();
-  index_.clear();
-  stack_.clear();
 }
 
 }  // namespace prose::gptl

@@ -81,7 +81,8 @@ class Timers {
   Status stop(const std::string& name);
 
   /// Charges cycles to the clock and to the innermost open region's
-  /// *exclusive* time. This is the hook the VM uses for cost attribution.
+  /// *exclusive* time. Test fixture: gptl_test drives simulated work with
+  /// it; the VM publishes its cycles through SimClock::set_now instead.
   void charge(double cycles);
 
   [[nodiscard]] bool any_open() const { return !stack_.empty(); }
@@ -93,17 +94,14 @@ class Timers {
   /// All regions, sorted by descending inclusive time.
   [[nodiscard]] std::vector<RegionStats> all_stats() const;
 
-  /// Total instrumentation overhead across all regions.
+  /// Total instrumentation overhead across all regions. Test oracle:
+  /// gptl_test checks the overhead charged per start/stop pair with it.
   [[nodiscard]] double total_overhead() const;
 
   /// Fraction of the named region's inclusive time that is instrumentation
-  /// overhead (the paper's "1%-7%" figure).
+  /// overhead. Test oracle: gptl_test and sim_cost_test check the paper's
+  /// "1%-7%" instrumentation overhead with it.
   [[nodiscard]] double overhead_fraction(const std::string& name) const;
-
-  /// GPTL-style report listing regions with calls / mean / total columns.
-  [[nodiscard]] std::string report() const;
-
-  void reset();
 
  private:
   struct Frame {

@@ -98,6 +98,7 @@ inline bool is_custom_kind(int kind) {
 
 /// Encodes a spec into its kind (hardware widths e8m23/e11m52 still encode
 /// as customs — the soft twins used by the hardware-equivalence suite).
+/// Besides kind_from_name, prec_test uses it to build kinds from specs.
 int encode_kind(const FormatSpec& spec);
 /// Decodes any valid kind (4 -> e8m23, 8 -> e11m52, custom -> its fields).
 FormatSpec decode_kind(int kind);

@@ -77,7 +77,9 @@ class ResultStore {
 
   /// Rewrites all live records into one fresh segment and unlinks the old
   /// ones (segmented stores only). Safe against kill -9 at any point.
-  /// Thread-safe.
+  /// Thread-safe. Test entry point: serve_fleet_test's crash tests call it
+  /// directly; open() runs the same body as prose_served's auto-compaction
+  /// (StoreOptions::compact_over_segments).
   Status compact();
 
   /// Results currently resident (recovered + inserted).

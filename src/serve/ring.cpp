@@ -3,20 +3,9 @@
 #include <algorithm>
 
 #include "support/strings.h"
+#include "support/trace.h"
 
 namespace prose::serve {
-namespace {
-
-/// SplitMix64 finalizer — a full-avalanche mix of (node seed, key). FNV over
-/// the name alone clusters for similar names; the finalizer erases that.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 HashRing::HashRing(std::vector<std::string> nodes) : nodes_(std::move(nodes)) {
   seeds_.reserve(nodes_.size());
@@ -39,7 +28,9 @@ std::vector<std::size_t> HashRing::successors(std::uint64_t key,
   std::vector<Scored> scored;
   scored.reserve(nodes_.size());
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    scored.push_back(Scored{mix(seeds_[i] ^ key), i});
+    // splitmix64 finalizer of (node seed, key): FNV over the name alone
+    // clusters for similar names; the full-avalanche mix erases that.
+    scored.push_back(Scored{trace::mix64(seeds_[i] ^ key), i});
   }
   // Descending score; index ties (two nodes with identical names) break low
   // index first so duplicate entries still order deterministically.

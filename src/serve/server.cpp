@@ -91,37 +91,6 @@ std::int64_t frame_id(const json::Value& v) {
   return id != nullptr ? id->int_or(-1) : -1;
 }
 
-/// Observes the guarded scope's wall-clock duration into a histogram at
-/// destruction. Values only — nothing downstream reads the clock back.
-/// `exemplar`, when it points at a non-empty string by destruction time,
-/// tags the observation with a latency exemplar (the request's trace id),
-/// so the slowest histogram buckets name the requests that filled them.
-class ScopeTimer {
- public:
-  explicit ScopeTimer(obs::Histogram* hist,
-                      const std::string* exemplar = nullptr)
-      : hist_(hist), exemplar_(exemplar) {
-    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~ScopeTimer() {
-    if (hist_ == nullptr) return;
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - start_;
-    if (exemplar_ != nullptr && !exemplar_->empty()) {
-      hist_->observe(dt.count(), *exemplar_);
-    } else {
-      hist_->observe(dt.count());
-    }
-  }
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
- private:
-  obs::Histogram* hist_;
-  const std::string* exemplar_;
-  std::chrono::steady_clock::time_point start_;
-};
-
 }  // namespace
 
 // --- lifecycle ------------------------------------------------------------
@@ -481,7 +450,7 @@ bool Server::handle_payload(const std::shared_ptr<Connection>& conn,
   // Declared before the timer: the timer's destructor reads it, so it must
   // be destroyed after (locals unwind in reverse declaration order).
   std::string rpc_exemplar;
-  const ScopeTimer rpc_timer(m_.rpc_seconds, &rpc_exemplar);
+  const trace::Span rpc_timer(m_.rpc_seconds, &rpc_exemplar);
   auto parsed = json::parse(payload);
   if (!parsed.is_ok()) {
     // Garbage *inside* an intact frame: framing is still synchronized, so
@@ -1023,7 +992,7 @@ void Server::dispatch_loop() {
       const std::string exemplar =
           u->ctx.valid() ? u->ctx.trace_hex() : std::string();
       {
-        const ScopeTimer eval_timer(m_.eval_seconds, &exemplar);
+        const trace::Span eval_timer(m_.eval_seconds, &exemplar);
         try {
           results[i].eval = u->evaluator->evaluate_remote(
               u->config, u->stream, static_cast<int>(worker));

@@ -140,6 +140,8 @@ class Server {
   /// process died), drop queued work unanswered, stop all threads. The
   /// store's on-disk state is whatever the fsync discipline guarantees —
   /// nothing is flushed on the way down. Idempotent with shutdown().
+  /// Test fixture: serve_fleet_test kills fleet members with it to check
+  /// failover and replica recovery without forking a process.
   void hard_kill();
 
   /// Blocks until shutdown() has completed the drain.

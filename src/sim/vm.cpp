@@ -138,14 +138,6 @@ StatusOr<std::vector<double>> Vm::get_array(const std::string& qualified) const 
   return out;
 }
 
-StatusOr<std::int64_t> Vm::array_size(const std::string& qualified) const {
-  const auto it = program_->global_array_index.find(qualified);
-  if (it == program_->global_array_index.end()) {
-    return Status(StatusCode::kNotFound, "no module array '" + qualified + "'");
-  }
-  return global_arrays_[static_cast<std::size_t>(it->second)].total();
-}
-
 const ProcRunStats* Vm::proc_stats(const std::string& qualified) const {
   const auto it = program_->proc_index.find(qualified);
   if (it == program_->proc_index.end()) return nullptr;

@@ -287,12 +287,14 @@ class Vm {
   void reset();
 
   // --- module data access for harness drivers ---
+  /// Test fixture: sim_vm_test and coverage_extra_test seed module inputs
+  /// with it (branch selectors, overflow operands) before a call.
   Status set_scalar(const std::string& qualified, double value);
   StatusOr<double> get_scalar(const std::string& qualified) const;
+  /// Test fixture: coverage_extra_test checks its size validation and the
+  /// round trip through get_array.
   Status set_array(const std::string& qualified, std::span<const double> values);
   StatusOr<std::vector<double>> get_array(const std::string& qualified) const;
-  /// Element count of a module array.
-  StatusOr<std::int64_t> array_size(const std::string& qualified) const;
 
   /// Runs a no-argument entry procedure ("module::proc") to completion.
   RunResult call(const std::string& qualified_proc);

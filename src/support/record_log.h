@@ -138,7 +138,8 @@ class SegmentedLog {
 /// ("compact.tmp_written", "compact.tmp_synced", "compact.renamed",
 /// "compact.dir_synced", "compact.unlinked"). Crash tests fork, install a
 /// hook that raises SIGKILL at one point, and check what survives. Null (the
-/// default) disables it. Process-global.
+/// default) disables it. Process-global. Test fixture: serve_fleet_test's
+/// store crash tests are its only caller.
 void set_crash_hook(void (*hook)(const char* point));
 
 }  // namespace prose::record_log

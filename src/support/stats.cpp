@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "support/status.h"
 
@@ -34,22 +35,6 @@ double stddev(std::span<const double> xs) {
   return std::sqrt(s / static_cast<double>(xs.size() - 1));
 }
 
-double relative_stddev(std::span<const double> xs) {
-  const double m = mean(xs);
-  if (m == 0.0) return std::numeric_limits<double>::infinity();
-  return stddev(xs) / std::abs(m);
-}
-
-double min_of(std::span<const double> xs) {
-  PROSE_CHECK(!xs.empty());
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  PROSE_CHECK(!xs.empty());
-  return *std::max_element(xs.begin(), xs.end());
-}
-
 double l2_norm(std::span<const double> xs) {
   // Scaled accumulation to avoid overflow on large magnitudes.
   double scale = 0.0;
@@ -67,69 +52,11 @@ double l2_norm(std::span<const double> xs) {
   return scale * std::sqrt(ssq);
 }
 
-double rms(std::span<const double> xs) {
-  PROSE_CHECK(!xs.empty());
-  return l2_norm(xs) / std::sqrt(static_cast<double>(xs.size()));
-}
-
-double percentile(std::span<const double> xs, double p) {
-  PROSE_CHECK(!xs.empty());
-  PROSE_CHECK(p >= 0.0 && p <= 100.0);
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  const double rank = (p / 100.0) * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
-}
-
 double relative_error(double baseline, double variant) {
   const double diff = std::abs(baseline - variant);
   if (diff == 0.0) return 0.0;
   if (baseline == 0.0) return std::numeric_limits<double>::infinity();
   return diff / std::abs(baseline);
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PROSE_CHECK(bins > 0 && hi > lo);
-}
-
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i + 1) / static_cast<double>(counts_.size());
 }
 
 }  // namespace prose

@@ -1,10 +1,9 @@
-// Small statistics kit used by the speedup metric (Eq. 1 of the paper), the
-// correctness metrics (L2 norms over time/grid), and the bench reports.
+// Small statistics kit used by the speedup metric (Eq. 1 of the paper) and
+// the correctness metrics (L2 norms over time/grid). `mean` and `stddev` are
+// the noise model's test oracle (support_rng_test checks the requested RSD).
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 namespace prose {
 
@@ -17,63 +16,12 @@ double mean(std::span<const double> xs);
 /// Sample standard deviation (n-1 denominator); 0 for n < 2.
 double stddev(std::span<const double> xs);
 
-/// Relative standard deviation: stddev / |mean|. The paper uses the observed
-/// RSD of a 10-member baseline ensemble to pick n in Eq. (1).
-double relative_stddev(std::span<const double> xs);
-
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
 /// Euclidean (L2) norm. Used for "L2-norm over time" correctness metrics.
 double l2_norm(std::span<const double> xs);
-
-/// Root-mean-square.
-double rms(std::span<const double> xs);
-
-/// p-th percentile (p in [0,100]) with linear interpolation.
-double percentile(std::span<const double> xs, double p);
 
 /// |a - b| / |a|, with the convention 0/0 == 0 and x/0 == inf for x != 0.
 /// This is exactly the paper's relative-error expression
 /// |(out_baseline - out_variant) / out_baseline|.
 double relative_error(double baseline, double variant);
-
-/// Online accumulator for streaming min/max/mean/M2 (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return mean_; }
-  [[nodiscard]] double variance() const;  // sample variance
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] double sum() const { return mean_ * static_cast<double>(n_); }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Histogram with fixed-width bins over [lo, hi); out-of-range samples clamp
-/// to the edge bins. Used by bench reports to show variant distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_[i]; }
-  [[nodiscard]] std::size_t bins() const { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const;
-  [[nodiscard]] double bin_hi(std::size_t i) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace prose

@@ -21,17 +21,6 @@ bool ends_with(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
 }
 
-bool iequals(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::string_view trim(std::string_view s) {
   const auto is_space = [](unsigned char c) { return std::isspace(c) != 0; };
   while (!s.empty() && is_space(static_cast<unsigned char>(s.front()))) s.remove_prefix(1);
@@ -50,28 +39,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
     }
     out.emplace_back(s.substr(start, pos - start));
     start = pos + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t j = i;
-    while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
-    if (j > i) out.emplace_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out += sep;
-    out += parts[i];
   }
   return out;
 }
@@ -106,11 +73,6 @@ std::string format_sci(double x, int digits) {
 
 std::string pad_right(std::string s, std::size_t width) {
   if (s.size() < width) s.append(width - s.size(), ' ');
-  return s;
-}
-
-std::string pad_left(std::string s, std::size_t width) {
-  if (s.size() < width) s.insert(0, width - s.size(), ' ');
   return s;
 }
 

@@ -16,18 +16,10 @@ std::string to_lower(std::string_view s);
 bool starts_with(std::string_view s, std::string_view prefix);
 bool ends_with(std::string_view s, std::string_view suffix);
 
-/// Case-insensitive ASCII equality.
-bool iequals(std::string_view a, std::string_view b);
-
 std::string_view trim(std::string_view s);
 
 /// Splits on a delimiter; empty fields are kept.
 std::vector<std::string> split(std::string_view s, char delim);
-
-/// Splits on runs of whitespace; empty fields are dropped.
-std::vector<std::string> split_ws(std::string_view s);
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Replaces every occurrence of `from` with `to`.
 std::string replace_all(std::string s, std::string_view from, std::string_view to);
@@ -39,9 +31,8 @@ std::string format_percent(double fraction, int precision = 1);
 /// Scientific notation with the given significant digits ("1.4e+02").
 std::string format_sci(double x, int digits = 2);
 
-/// Pads/truncates to a column width (left- or right-aligned).
+/// Pads to a column width, left-aligned; longer text is kept whole.
 std::string pad_right(std::string s, std::size_t width);
-std::string pad_left(std::string s, std::size_t width);
 
 /// 64-bit FNV-1a. Unlike std::hash, the value is fixed by the algorithm —
 /// identical across platforms, standard libraries, and process runs — so it

@@ -247,10 +247,9 @@ Tracer::Tracer(const TraceOptions& options) : options_(options) {
 
 Tracer::~Tracer() { (void)flush(); }
 
-double Tracer::now_us() const {
+double Tracer::us_at(std::chrono::steady_clock::time_point t) const {
   if (!enabled_) return 0.0;
-  const auto d = std::chrono::steady_clock::now() - epoch_;
-  return std::chrono::duration<double, std::micro>(d).count();
+  return std::chrono::duration<double, std::micro>(t - epoch_).count();
 }
 
 void Tracer::emit(std::string_view name, char phase, Track track, double ts_us,

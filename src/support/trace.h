@@ -183,7 +183,12 @@ class Tracer {
 
   /// Wall-clock microseconds since construction (the pipeline timeline).
   /// Only meaningful on an enabled tracer; returns 0 when disabled.
-  [[nodiscard]] double now_us() const;
+  [[nodiscard]] double now_us() const {
+    return us_at(std::chrono::steady_clock::now());
+  }
+  /// The pipeline-timeline stamp of a clock reading the caller already took
+  /// (Span shares one reading between its event and its histogram).
+  [[nodiscard]] double us_at(std::chrono::steady_clock::time_point t) const;
 
   /// Attaches observability instruments (copied; set before emitting from
   /// multiple threads). A write failure that degrades a sink also increments
@@ -245,34 +250,63 @@ class Tracer {
   std::chrono::steady_clock::time_point epoch_;
 };
 
-/// RAII span on the wall-clock pipeline timeline. Degrades to a no-op when
-/// `tracer` is null or disabled.
+/// The one RAII timing scope. It opens a span on the wall-clock pipeline
+/// timeline and/or observes its duration into a latency histogram, and both
+/// come from one steady_clock read per boundary. `exemplar`, when it points
+/// at a non-empty string by close time, tags the observation with it (a
+/// request's trace id), so the slowest buckets name the requests that filled
+/// them. With no enabled tracer and no histogram it reads no clock at all.
+/// The observed time never flows into simulated results.
 class Span {
  public:
-  Span(Tracer* tracer, Track track, std::string name, const Attrs& attrs = {})
+  Span(Tracer* tracer, Track track, std::string name, const Attrs& attrs = {},
+       obs::Histogram* hist = nullptr, const std::string* exemplar = nullptr)
       : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
+        hist_(hist),
+        exemplar_(exemplar),
         track_(track),
         name_(std::move(name)) {
-    if (tracer_ != nullptr) tracer_->begin(name_, track_, tracer_->now_us(), attrs);
+    if (tracer_ == nullptr && hist_ == nullptr) return;
+    start_ = std::chrono::steady_clock::now();
+    if (tracer_ != nullptr) {
+      tracer_->begin(name_, track_, tracer_->us_at(start_), attrs);
+    }
   }
+  /// A histogram-only scope: no trace event.
+  explicit Span(obs::Histogram* hist, const std::string* exemplar = nullptr)
+      : Span(nullptr, Track{}, std::string(), {}, hist, exemplar) {}
   ~Span() { close(); }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
   /// Attributes attached to the closing event (e.g. an outcome).
   void annotate(Attrs attrs) { close_attrs_ = std::move(attrs); }
+  /// Skips the histogram observation (a failed operation is no latency
+  /// sample); the trace span still closes.
+  void drop_observation() { hist_ = nullptr; }
   void close() {
+    if (tracer_ == nullptr && hist_ == nullptr) return;
+    const auto end = std::chrono::steady_clock::now();
+    if (hist_ != nullptr) {
+      hist_->observe(std::chrono::duration<double>(end - start_).count(),
+                     exemplar_ != nullptr ? std::string_view(*exemplar_)
+                                          : std::string_view());
+      hist_ = nullptr;
+    }
     if (tracer_ != nullptr) {
-      tracer_->end(name_, track_, tracer_->now_us(), close_attrs_);
+      tracer_->end(name_, track_, tracer_->us_at(end), close_attrs_);
       tracer_ = nullptr;
     }
   }
 
  private:
   Tracer* tracer_;
+  obs::Histogram* hist_;
+  const std::string* exemplar_;
   Track track_;
   std::string name_;
   Attrs close_attrs_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace prose::trace

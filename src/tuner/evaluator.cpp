@@ -1,7 +1,6 @@
 #include "tuner/evaluator.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -69,29 +68,6 @@ void emit_run_counters(trace::Tracer& tr, trace::Track track,
   tr.counter("vm/fused/load-const", track, ts,
              static_cast<double>(f.load_const));
 }
-
-/// RAII wall-clock timer feeding one latency histogram. Like trace::Span it
-/// degrades to a no-op (no clock reads) when the instrument is null, and the
-/// observed time never flows into simulated results — only into the metric.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(obs::Histogram* hist) : hist_(hist) {
-    if (hist_ != nullptr) start_ = std::chrono::steady_clock::now();
-  }
-  ~PhaseTimer() {
-    if (hist_ != nullptr) {
-      hist_->observe(std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count());
-    }
-  }
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  obs::Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
-};
 
 }  // namespace
 
@@ -575,24 +551,9 @@ Evaluation Evaluator::evaluate_remote(const Config& config, std::uint64_t stream
                      trace::Track::worker(worker));
 }
 
-bool Evaluator::is_cached(const Config& config) const {
-  std::lock_guard lock(cache_mu_);
-  return cache_.find(config.key()) != cache_.end();
-}
-
 std::size_t Evaluator::unique_evaluations() const {
   std::lock_guard lock(cache_mu_);
   return cache_.size();
-}
-
-std::uint64_t Evaluator::cache_lookups() const {
-  std::lock_guard lock(cache_mu_);
-  return cache_lookups_;
-}
-
-std::uint64_t Evaluator::cache_hit_count() const {
-  std::lock_guard lock(cache_mu_);
-  return cache_hits_;
 }
 
 void Evaluator::set_journal_replay(const std::vector<JournalVariant>& variants) {
@@ -630,7 +591,7 @@ bool Evaluator::try_replay_locked(const std::string& key, std::uint64_t stream,
 
 Evaluation Evaluator::run_variant(const Config& config, bool is_baseline,
                                   std::uint64_t stream_id, trace::Track track) {
-  PhaseTimer variant_timer(m_.variant_seconds);
+  const trace::Span variant_timer(m_.variant_seconds);
   // No fault plan (the overwhelmingly common case), or the baseline run —
   // which is never faulted, since a campaign that cannot evaluate its
   // baseline has nothing to resume — is exactly one attempt.
@@ -735,20 +696,19 @@ Evaluation Evaluator::run_attempt(const Config& config, bool is_baseline,
     return run_variant_impl(config, is_baseline, stream_id, track, nullptr);
   }
 
-  tr->begin(is_baseline ? "variant/baseline" : "variant", track, tr->now_us(),
-            {{"config", config_hash(config)},
-             {"fraction32", config.fraction32()},
-             {"atoms32", config.count32()}});
+  trace::Span variant(tr, track, is_baseline ? "variant/baseline" : "variant",
+                      {{"config", config_hash(config)},
+                       {"fraction32", config.fraction32()},
+                       {"atoms32", config.count32()}});
   Evaluation out = run_variant_impl(config, is_baseline, stream_id, track, tr);
-  tr->end(is_baseline ? "variant/baseline" : "variant", track, tr->now_us(),
-          {{"outcome", to_string(out.outcome)},
-           {"cycles", out.whole_cycles},
-           {"measured_cycles", out.measured_cycles},
-           {"speedup", out.speedup},
-           {"error", out.error},
-           {"node_seconds", out.node_seconds},
-           {"wrappers", out.wrappers},
-           {"cache_hit", false}});
+  variant.annotate({{"outcome", to_string(out.outcome)},
+                    {"cycles", out.whole_cycles},
+                    {"measured_cycles", out.measured_cycles},
+                    {"speedup", out.speedup},
+                    {"error", out.error},
+                    {"node_seconds", out.node_seconds},
+                    {"wrappers", out.wrappers},
+                    {"cache_hit", false}});
   return out;
 }
 
@@ -762,8 +722,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   ftn::WrapperReport wreport;
   StatusOr<ftn::ResolvedProgram> variant = Status(StatusCode::kUnimplemented, "unset");
   {
-    trace::Span stage(tr, track, "transform");
-    PhaseTimer timer(m_.transform_seconds);
+    trace::Span stage(tr, track, "transform", {}, m_.transform_seconds);
     variant = ftn::make_variant(pristine_.program, space_.to_assignment(config),
                                 &wreport);
     if (tr != nullptr) {
@@ -784,8 +743,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   for (const auto& proc : spec_.hotspot_procs) copts.instrument.insert(proc);
   StatusOr<sim::CompiledProgram> compiled = Status(StatusCode::kUnimplemented, "unset");
   {
-    trace::Span stage(tr, track, "compile");
-    PhaseTimer timer(m_.compile_seconds);
+    trace::Span stage(tr, track, "compile", {}, m_.compile_seconds);
     compiled = sim::compile(variant.value(), spec_.machine, copts);
     if (tr != nullptr) stage.annotate({{"ok", compiled.is_ok()}});
   }
@@ -813,8 +771,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   }
   sim::RunResult run;
   {
-    trace::Span stage(tr, track, "execute");
-    PhaseTimer timer(m_.execute_seconds);
+    trace::Span stage(tr, track, "execute", {}, m_.execute_seconds);
     run = vm.call(spec_.entry);
     if (tr != nullptr) {
       stage.annotate({{"ok", run.status.is_ok()},
@@ -848,8 +805,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   }
 
   // Measure: hotspot attribution, correctness metric, Eq. (1) speedup.
-  trace::Span measure_stage(tr, track, "measure");
-  PhaseTimer measure_timer(m_.measure_seconds);
+  const trace::Span measure_stage(tr, track, "measure", {}, m_.measure_seconds);
 
   // Hotspot CPU time from the instrumented regions.
   double hotspot = 0.0;

@@ -306,18 +306,8 @@ class Evaluator {
   std::vector<BatchItem> evaluate_batch(std::span<const Config> configs,
                                         ThreadPool* pool = nullptr);
 
-  /// True when the configuration's key is already memoized (a completed
-  /// entry; in-flight entries count too). Used by the searches to replicate
-  /// serial bookkeeping without forcing an evaluation.
-  [[nodiscard]] bool is_cached(const Config& config) const;
-
   /// Number of distinct variants evaluated so far (excluding the baseline).
   [[nodiscard]] std::size_t unique_evaluations() const;
-
-  /// Memo-cache hit statistics (lookups = hits + misses), also exported as
-  /// cache/* trace counters when a tracer is attached.
-  [[nodiscard]] std::uint64_t cache_lookups() const;
-  [[nodiscard]] std::uint64_t cache_hit_count() const;
 
   /// Statistics of the T0 reduction preprocessing; nullopt unless the spec
   /// enabled run_reduction_preprocessing.

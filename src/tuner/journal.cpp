@@ -1,10 +1,10 @@
 #include "tuner/journal.h"
 
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 
 #include "support/json.h"
+#include "support/trace.h"
 #include "tuner/eval_codec.h"
 
 namespace prose::tuner {
@@ -165,8 +165,9 @@ void Journal::append_line(const std::string& line, bool count_variant) {
   {
     std::lock_guard lock(mu_);
     if (!file_.is_open()) return;
-    const auto start = std::chrono::steady_clock::now();
+    trace::Span fsync_timer(m_fsync_seconds_);
     if (const Status s = file_.append(line); !s.is_ok()) {
+      fsync_timer.drop_observation();
       error_ = Status(StatusCode::kInvalidArgument, "journal " + s.message());
       if (m_errors_ != nullptr) m_errors_->inc();
       std::fprintf(stderr,
@@ -174,11 +175,7 @@ void Journal::append_line(const std::string& line, bool count_variant) {
                    error_.message().c_str());
       return;
     }
-    if (m_fsync_seconds_ != nullptr) {
-      m_fsync_seconds_->observe(std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() - start)
-                                    .count());
-    }
+    fsync_timer.close();
     if (m_records_ != nullptr) m_records_->inc();
     if (count_variant) {
       ++appended_;
@@ -289,11 +286,6 @@ void Journal::set_metrics(obs::Registry* registry) {
 Status Journal::error() const {
   std::lock_guard lock(mu_);
   return error_;
-}
-
-std::size_t Journal::appended_variants() const {
-  std::lock_guard lock(mu_);
-  return appended_;
 }
 
 void Journal::set_kill_after_variants(std::size_t n) {

@@ -127,9 +127,6 @@ class Journal {
   /// First write failure, sticky; OK while the journal is healthy.
   [[nodiscard]] Status error() const;
 
-  /// Variant records appended by this process (excludes replayed history).
-  [[nodiscard]] std::size_t appended_variants() const;
-
   /// Chaos-testing knob: raise SIGKILL immediately after the Nth variant
   /// record of this process is made durable — a deterministic mid-campaign
   /// crash for the kill/resume process test. 0 disables.

@@ -94,7 +94,9 @@ SearchResult one_at_a_time_search(Evaluator& evaluator, const SearchOptions& opt
 
 /// Verifies 1-minimality of a configuration: every single remaining 64-bit
 /// atom, lowered alone on top of `config`, must be unacceptable. Returns the
-/// indices that violate minimality (empty = 1-minimal). Used by tests.
+/// indices that violate minimality (empty = 1-minimal). Test oracle:
+/// tuner_search_test and property_pipeline_test check delta debugging's
+/// 1-minimality guarantee with it.
 std::vector<std::size_t> check_one_minimal(Evaluator& evaluator, const Config& config);
 
 }  // namespace prose::tuner

@@ -183,7 +183,7 @@ end module m
   const std::vector<double> right(4, 2.5);
   EXPECT_TRUE(h.vm->set_array("m::a", right).is_ok());
   EXPECT_DOUBLE_EQ(h.vm->get_array("m::a").value()[2], 2.5);
-  EXPECT_EQ(h.vm->array_size("m::a").value(), 4);
+  EXPECT_EQ(h.vm->get_array("m::a").value().size(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -174,23 +174,5 @@ TEST(Gptl, ScopedRegionClosesOnDestruction) {
   EXPECT_EQ(t.stats("scoped")->calls, 1u);
 }
 
-TEST(Gptl, ResetClearsEverything) {
-  SimClock clock;
-  Timers t(&clock, no_overhead());
-  ASSERT_TRUE(t.start("x").is_ok());
-  ASSERT_TRUE(t.stop("x").is_ok());
-  t.reset();
-  EXPECT_FALSE(t.stats("x").is_ok());
-  EXPECT_EQ(t.depth(), 0u);
-}
-
-TEST(Gptl, ReportContainsRegions) {
-  SimClock clock;
-  Timers t(&clock, no_overhead());
-  ASSERT_TRUE(t.start("alpha").is_ok());
-  ASSERT_TRUE(t.stop("alpha").is_ok());
-  EXPECT_NE(t.report().find("alpha"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace prose::gptl

@@ -2,8 +2,11 @@
 // `le`-inclusive semantics), quantile estimation error bounds, snapshot
 // merge algebra (associative, commutative), exact totals under concurrent
 // ThreadPool(8) increments, exposition-format round-trips, the in-repo
-// promtool-style lint, and the embedded HTTP listener.
+// promtool-style lint, the embedded HTTP listener, and trace::Span, the one
+// timing scope that feeds a latency histogram and a trace span together.
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "obs/http.h"
 #include "obs/metrics.h"
 #include "support/thread_pool.h"
+#include "support/trace.h"
 
 namespace prose::obs {
 namespace {
@@ -298,6 +302,55 @@ TEST(HttpServer, ServesMetricsHealthAnd404) {
   ASSERT_TRUE(missing.is_ok());
   EXPECT_EQ(status, 404);
   (*server)->stop();
+}
+
+// --- the one timing scope -------------------------------------------------
+
+TEST(Span, OneScopeFeedsTheTraceAndTheHistogram) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "obs_span_test.jsonl").string();
+  Registry reg;
+  Histogram* h = reg.histogram("stage_seconds", "test", {0.001, 1.0});
+  {
+    trace::TraceOptions opts;
+    opts.jsonl_path = path;
+    trace::Tracer t(opts);
+    {
+      trace::Span s(&t, trace::Track::evaluator(), "stage", {}, h);
+      s.annotate({{"ok", true}});
+    }
+    ASSERT_TRUE(t.flush().is_ok());
+  }
+  EXPECT_EQ(h->count(), 1u);
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"ph\":\"B\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos);
+  std::filesystem::remove(path);
+}
+
+TEST(Span, HistogramScopeReadsItsExemplarAtClose) {
+  Registry reg;
+  Histogram* h = reg.histogram("rpc_seconds", "test", {1000.0});
+  std::string exemplar;
+  {
+    const trace::Span s(h, &exemplar);
+    exemplar = "trace-late";  // set after open, as a handler learns its id
+  }
+  { const trace::Span unlabeled(h); }
+  {
+    trace::Span failed(h);
+    failed.drop_observation();  // a failed operation is no latency sample
+  }
+  const MetricsSnapshot snap = reg.snapshot();
+  const SeriesSnapshot* s = snap.find("rpc_seconds");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->hist.count, 2u);
+  ASSERT_EQ(s->hist.exemplars.size(), 2u);
+  EXPECT_EQ(s->hist.exemplars[0].label, "trace-late");
 }
 
 }  // namespace

@@ -37,11 +37,6 @@ TEST(Stats, MeanAndStddev) {
   EXPECT_NEAR(stddev(xs), std::sqrt(8.0 / 3.0), 1e-12);
 }
 
-TEST(Stats, RelativeStddev) {
-  const std::array<double, 3> xs = {90, 100, 110};
-  EXPECT_NEAR(relative_stddev(xs), 10.0 / 100.0, 1e-12);
-}
-
 TEST(Stats, L2Norm) {
   const std::array<double, 2> xs = {3, 4};
   EXPECT_DOUBLE_EQ(l2_norm(xs), 5.0);
@@ -56,14 +51,6 @@ TEST(Stats, L2NormEmptyIsZero) {
   EXPECT_DOUBLE_EQ(l2_norm({}), 0.0);
 }
 
-TEST(Stats, Percentile) {
-  const std::array<double, 5> xs = {10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 30.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 50.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 25), 20.0);
-}
-
 TEST(Stats, RelativeErrorMatchesPaperExpression) {
   // |(baseline - variant) / baseline|
   EXPECT_DOUBLE_EQ(relative_error(10.0, 9.0), 0.1);
@@ -73,31 +60,6 @@ TEST(Stats, RelativeErrorMatchesPaperExpression) {
 TEST(Stats, RelativeErrorZeroBaseline) {
   EXPECT_DOUBLE_EQ(relative_error(0.0, 0.0), 0.0);
   EXPECT_TRUE(std::isinf(relative_error(0.0, 1.0)));
-}
-
-TEST(Stats, RunningStatsMatchesBatch) {
-  const std::array<double, 6> xs = {1, 2, 3, 4, 5, 6};
-  RunningStats rs;
-  for (const double x : xs) rs.add(x);
-  EXPECT_EQ(rs.count(), 6u);
-  EXPECT_DOUBLE_EQ(rs.mean(), mean(xs));
-  EXPECT_NEAR(rs.stddev(), stddev(xs), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 1.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 6.0);
-  EXPECT_DOUBLE_EQ(rs.sum(), 21.0);
-}
-
-TEST(Stats, HistogramBinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 4
-  h.add(-3.0);  // clamps to bin 0
-  h.add(42.0);  // clamps to bin 4
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
 }
 
 }  // namespace

@@ -17,16 +17,9 @@ TEST(Strings, ToLower) { EXPECT_EQ(to_lower("MiXeD_09"), "mixed_09"); }
 TEST(Strings, TrimAndSplit) {
   EXPECT_EQ(trim("  a b \t"), "a b");
   EXPECT_EQ(split("a,b,,c", ','), (std::vector<std::string>{"a", "b", "", "c"}));
-  EXPECT_EQ(split_ws("  a  b\tc "), (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Strings, IEquals) {
-  EXPECT_TRUE(iequals("MPAS", "mpas"));
-  EXPECT_FALSE(iequals("MPAS", "mpas6"));
 }
 
 TEST(Strings, JoinAndReplace) {
-  EXPECT_EQ(join({"a", "b", "c"}, "::"), "a::b::c");
   EXPECT_EQ(replace_all("x+x+x", "+", "-"), "x-x-x");
 }
 
@@ -38,7 +31,6 @@ TEST(Strings, Formatting) {
 
 TEST(Strings, Padding) {
   EXPECT_EQ(pad_right("ab", 4), "ab  ");
-  EXPECT_EQ(pad_left("ab", 4), "  ab");
   EXPECT_EQ(pad_right("abcdef", 4), "abcdef");  // no truncation
 }
 
