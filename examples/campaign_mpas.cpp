@@ -33,9 +33,6 @@
 //                  bit-identical even when a shard dies mid-run)
 //        --hedge-ms N (fleet: re-issue a request to the next replica after
 //                  N ms without an answer; first reply wins; 0 = off)
-//        --vm-dispatch MODE (VM dispatch loop: auto | switch | threaded;
-//                  results are bit-identical for every mode — this only
-//                  changes host wall-clock time)
 //        --metrics-out FILE (dump the final registry snapshot as Prometheus
 //                  text exposition)
 //        --metrics-footer (append the opt-in {"type":"metrics"} journal
@@ -92,8 +89,8 @@ int main(int argc, char** argv) {
       {"nodes", "hours", "max-variants", "jobs", "trace-out", "trace-jsonl",
        "faults", "fault-seed", "retries", "backoff", "journal", "resume",
        "kill-after", "diagnose", "diagnosis-out", "server", "servers",
-       "hedge-ms", "vm-dispatch", "metrics-out", "metrics-footer", "formats",
-       "census-html", "model"});
+       "hedge-ms", "metrics-out", "metrics-footer", "formats", "census-html",
+       "model"});
   tuner::CampaignOptions options;
   options.cluster.nodes = static_cast<std::size_t>(flags.get_int("nodes", 20));
   options.cluster.wall_budget_seconds = flags.get_double("hours", 12.0) * 3600.0;
@@ -114,12 +111,6 @@ int main(int argc, char** argv) {
   options.diagnose =
       flags.get_bool("diagnose", false) || flags.has("diagnosis-out");
   options.metrics_footer = flags.get_bool("metrics-footer", false);
-  const std::string dispatch = flags.get_string("vm-dispatch", "auto");
-  if (!tuner::vm_dispatch_from_string(dispatch, &options.vm_dispatch)) {
-    std::cerr << "--vm-dispatch must be auto | switch | threaded "
-              << "(got '" << dispatch << "')\n";
-    return 2;
-  }
   const std::string formats_arg = flags.get_string("formats", "");
   if (!formats_arg.empty()) {
     std::string bad;
@@ -282,16 +273,6 @@ int main(int argc, char** argv) {
   if (g_stop.load(std::memory_order_relaxed)) {
     std::cerr << "campaign interrupted by signal — sinks flushed; "
               << "rerun with --resume to continue\n";
-  }
-  // "vm|"-prefixed line, only when the dispatch was explicitly selected:
-  // run counts differ under --resume/--server, so bit-identity diffs either
-  // never see this line or strip it by prefix.
-  if (flags.has("vm-dispatch")) {
-    std::cout << "vm| dispatch=" << tuner::to_string(options.vm_dispatch)
-              << " runs=" << result->vm_exec.runs
-              << " instructions=" << result->vm_exec.instructions
-              << " fused_pairs=" << result->vm_exec.fused_pairs
-              << " fused_covered=" << result->vm_exec.fused_covered << "\n";
   }
   // "journal"-prefixed lines so crash/resume harnesses can diff the rest of
   // the output against an uninterrupted reference run.

@@ -119,20 +119,4 @@ class Timers {
   std::vector<Frame> stack_;
 };
 
-/// RAII region guard for C++-side instrumentation of harness phases.
-class ScopedRegion {
- public:
-  ScopedRegion(Timers& timers, std::string name)
-      : timers_(timers), name_(std::move(name)) {
-    PROSE_CHECK(timers_.start(name_).is_ok());
-  }
-  ~ScopedRegion() { (void)timers_.stop(name_); }
-  ScopedRegion(const ScopedRegion&) = delete;
-  ScopedRegion& operator=(const ScopedRegion&) = delete;
-
- private:
-  Timers& timers_;
-  std::string name_;
-};
-
 }  // namespace prose::gptl

@@ -9,10 +9,10 @@
 //
 // Hard contract, same as tracing: metrics never feed back into results.
 // Wall-clock time flows into metric *values* only, never into scheduling or
-// simulated time, so a metrics-enabled campaign is bit-identical to a
-// metrics-off one — journal bytes included. The second contract is cost:
-// once a series is registered, observing it is a handful of relaxed atomic
-// operations and never allocates, so the instruments are safe on the
+// simulated time, so an instrumented evaluator produces exactly the results
+// of an uninstrumented one — journal bytes included. The second contract is
+// cost: once a series is registered, observing it is a handful of relaxed
+// atomic operations and never allocates, so the instruments are safe on the
 // evaluator's and the server's hot paths.
 //
 // Instrument pointers returned by the registry are stable for the registry's

@@ -39,7 +39,8 @@ enum class XOp : std::uint8_t;  // decode.h
 ///   * kSwitch   — a portable switch-dispatch loop.
 ///   * kThreaded — a direct-threaded computed-goto loop (GCC/Clang). Falls
 ///     back to kSwitch when the build has no computed-goto support.
-///   * kAuto     — the build-configured default (PROSE_VM_DISPATCH).
+///   * kAuto     — the build's engine: kThreaded where the compiler has
+///     computed goto, kSwitch where it does not.
 enum class VmDispatch : std::uint8_t { kAuto, kSwitch, kThreaded };
 
 /// Dynamic superinstruction dispatch counts for one call() — how many fused
@@ -277,7 +278,7 @@ class Vm {
 
   /// True when this build's threaded (computed-goto) engine exists.
   [[nodiscard]] static bool threaded_available();
-  /// What VmDispatch::kAuto resolves to in this build (PROSE_VM_DISPATCH).
+  /// What VmDispatch::kAuto resolves to in this build.
   [[nodiscard]] static VmDispatch default_dispatch();
   /// The dispatch call() will actually use, after resolving kAuto and the
   /// threaded→switch fallback (a shadow Vm always runs the switch loop).

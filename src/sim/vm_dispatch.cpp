@@ -26,9 +26,6 @@ using ftn::Intrinsic;
 #ifndef PROSE_HAS_COMPUTED_GOTO
 #define PROSE_HAS_COMPUTED_GOTO 0
 #endif
-#ifndef PROSE_VM_DISPATCH_DEFAULT
-#define PROSE_VM_DISPATCH_DEFAULT 0  // 0=auto, 1=switch, 2=threaded
-#endif
 
 // ---------------------------------------------------------------------------
 // Engine instantiations.
@@ -90,12 +87,7 @@ const void* const* threaded_label_table() {
 bool Vm::threaded_available() { return threaded_label_table() != nullptr; }
 
 VmDispatch Vm::default_dispatch() {
-#if PROSE_VM_DISPATCH_DEFAULT == 1
-  return VmDispatch::kSwitch;
-#else
-  // auto (0) and threaded (2): prefer the threaded engine when it exists.
   return threaded_available() ? VmDispatch::kThreaded : VmDispatch::kSwitch;
-#endif
 }
 
 VmDispatch Vm::resolved_dispatch() const {

@@ -32,19 +32,6 @@ bool rejected_variant(const Evaluation& e) {
 
 }  // namespace
 
-bool vm_dispatch_from_string(std::string_view s, sim::VmDispatch* out) {
-  if (s == "auto") {
-    *out = sim::VmDispatch::kAuto;
-  } else if (s == "switch") {
-    *out = sim::VmDispatch::kSwitch;
-  } else if (s == "threaded") {
-    *out = sim::VmDispatch::kThreaded;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* to_string(sim::VmDispatch dispatch) {
   switch (dispatch) {
     case sim::VmDispatch::kAuto: return "auto";
@@ -303,17 +290,14 @@ StatusOr<CampaignResult> run_campaign(const TargetSpec& original_spec,
   // Observability registry for this campaign. Instruments are registered up
   // front and threaded through every layer; the hot paths then only bump
   // atomics (zero-allocation contract). Collection never influences results.
-  std::unique_ptr<obs::Registry> registry;
-  if (options.metrics) {
-    registry = std::make_unique<obs::Registry>();
-    trace::TraceMetrics tm;
-    tm.events = registry->counter("prose_trace_events_total",
-                                  "Flight-recorder events emitted");
-    tm.write_errors = registry->counter(
-        "prose_trace_write_errors_total",
-        "Flight-recorder sink degradations (sticky write failures)");
-    tracer.set_metrics(tm);
-  }
+  obs::Registry registry;
+  trace::TraceMetrics tm;
+  tm.events = registry.counter("prose_trace_events_total",
+                               "Flight-recorder events emitted");
+  tm.write_errors = registry.counter(
+      "prose_trace_write_errors_total",
+      "Flight-recorder sink degradations (sticky write failures)");
+  tracer.set_metrics(tm);
 
   // The work pool for batch-parallel variant evaluation (jobs == 1 → serial
   // path, no threads spawned). Results are bit-identical either way.
@@ -321,15 +305,15 @@ StatusOr<CampaignResult> run_campaign(const TargetSpec& original_spec,
       options.jobs == 0 ? ThreadPool::hardware_workers() : options.jobs;
   std::unique_ptr<ThreadPool> pool;
   if (jobs > 1) pool = std::make_unique<ThreadPool>(jobs);
-  if (pool != nullptr && registry != nullptr) {
+  if (pool != nullptr) {
     PoolMetrics pm;
-    pm.batches = registry->counter("prose_pool_batches_total",
-                                   "Work-pool batches dispatched");
-    pm.items = registry->counter("prose_pool_items_total",
-                                 "Work-pool items completed");
-    pm.queue_depth = registry->gauge(
+    pm.batches = registry.counter("prose_pool_batches_total",
+                                  "Work-pool batches dispatched");
+    pm.items = registry.counter("prose_pool_items_total",
+                                "Work-pool items completed");
+    pm.queue_depth = registry.gauge(
         "prose_pool_queue_depth", "Items of the active batch not yet claimed");
-    pm.active_workers = registry->gauge(
+    pm.active_workers = registry.gauge(
         "prose_pool_active_workers", "Workers currently evaluating a variant");
     pool->set_metrics(pm);
   }
@@ -348,12 +332,11 @@ StatusOr<CampaignResult> run_campaign(const TargetSpec& original_spec,
     }
   }
 
-  auto evaluator =
-      Evaluator::create(spec, options.noise_seed, tr, options.vm_dispatch);
+  auto evaluator = Evaluator::create(spec, options.noise_seed, tr);
   if (!evaluator.is_ok()) return evaluator.status();
   Evaluator& ev = *evaluator.value();
 
-  if (registry != nullptr) ev.set_metrics(registry.get());
+  ev.set_metrics(&registry);
   if (!plan.empty()) {
     ev.set_fault_plan(&plan);
     ev.set_retry_policy(options.retry);
@@ -381,7 +364,7 @@ StatusOr<CampaignResult> run_campaign(const TargetSpec& original_spec,
     if (options.journal_kill_after > 0) {
       journal->set_kill_after_variants(options.journal_kill_after);
     }
-    if (registry != nullptr) journal->set_metrics(registry.get());
+    journal->set_metrics(&registry);
     ev.set_journal(journal.get());
   }
 
@@ -462,31 +445,28 @@ StatusOr<CampaignResult> run_campaign(const TargetSpec& original_spec,
   for (std::size_t i = 0; i < ev.space().size(); ++i) {
     result.final_kinds[ev.space().atoms()[i].qualified] = final_config.kinds[i];
   }
-  if (registry != nullptr) {
-    // Per-format census gauges: atoms of the final configuration at each
-    // lattice level, plus the accepted variant's simulated cast cycles.
-    // Observability only — values land in the snapshot/scrape, never in the
-    // journal, so metrics-on campaigns stay bit-identical.
-    for (const std::uint16_t level : ev.space().levels()) {
-      registry
-          ->gauge("prose_final_atoms_" + prec::kind_name(level),
-                  "Atoms of the final configuration at this format")
-          ->set(static_cast<double>(final_config.count_at(level)));
-    }
-    double accepted_casts = 0.0;
-    for (const auto& r : result.search.records) {
-      if (r.config == final_config) {
-        accepted_casts = r.eval.cast_cycles;
-        break;
-      }
-    }
+  // Per-format census gauges: atoms of the final configuration at each
+  // lattice level, plus the accepted variant's simulated cast cycles.
+  // Observability only — values land in the snapshot/scrape, never in the
+  // journal or the summary's measured fields.
+  for (const std::uint16_t level : ev.space().levels()) {
     registry
-        ->gauge("prose_final_cast_cycles",
-                "Simulated cast cycles of the accepted variant")
-        ->set(accepted_casts);
+        .gauge("prose_final_atoms_" + prec::kind_name(level),
+               "Atoms of the final configuration at this format")
+        ->set(static_cast<double>(final_config.count_at(level)));
   }
+  double accepted_casts = 0.0;
+  for (const auto& r : result.search.records) {
+    if (r.config == final_config) {
+      accepted_casts = r.eval.cast_cycles;
+      break;
+    }
+  }
+  registry
+      .gauge("prose_final_cast_cycles",
+             "Simulated cast cycles of the accepted variant")
+      ->set(accepted_casts);
   result.replayed_from_journal = ev.replayed_from_journal();
-  result.vm_exec = ev.vm_exec_stats();
 
   if (options.diagnose) {
     // The diagnosis runs strictly after the campaign proper: by the time the
@@ -530,45 +510,41 @@ StatusOr<CampaignResult> run_campaign(const TargetSpec& original_spec,
     result.summary.failovers = counters.failovers;
     result.summary.shards_lost = counters.shards_lost;
     result.summary.busy_backoff_seconds = counters.busy_backoff_seconds;
-    if (registry != nullptr) {
-      registry
-          ->gauge("prose_client_busy_retries",
-                  "Busy rounds the serve client waited out (cumulative)")
-          ->set(static_cast<double>(counters.busy_retries));
-      registry
-          ->gauge("prose_client_fallback_items",
-                  "Items the serve client failed to resolve (cumulative)")
-          ->set(static_cast<double>(counters.fallback_items));
-      registry
-          ->gauge("prose_client_hedges",
-                  "Hedged requests the serve client issued (cumulative)")
-          ->set(static_cast<double>(counters.hedges));
-      registry
-          ->gauge("prose_client_hedge_wins",
-                  "Hedged requests resolved by the hedge replica (cumulative)")
-          ->set(static_cast<double>(counters.hedge_wins));
-      registry
-          ->gauge("prose_client_failovers",
-                  "Requests rerouted off a dead or draining shard "
-                  "(cumulative)")
-          ->set(static_cast<double>(counters.failovers));
-      registry
-          ->gauge("prose_client_shards_lost",
-                  "Fleet shards declared dead mid-campaign (cumulative)")
-          ->set(static_cast<double>(counters.shards_lost));
-      registry
-          ->gauge("prose_client_busy_backoff_seconds",
-                  "Total deterministic busy backoff slept (cumulative)")
-          ->set(counters.busy_backoff_seconds);
-    }
+    registry
+        .gauge("prose_client_busy_retries",
+               "Busy rounds the serve client waited out (cumulative)")
+        ->set(static_cast<double>(counters.busy_retries));
+    registry
+        .gauge("prose_client_fallback_items",
+               "Items the serve client failed to resolve (cumulative)")
+        ->set(static_cast<double>(counters.fallback_items));
+    registry
+        .gauge("prose_client_hedges",
+               "Hedged requests the serve client issued (cumulative)")
+        ->set(static_cast<double>(counters.hedges));
+    registry
+        .gauge("prose_client_hedge_wins",
+               "Hedged requests resolved by the hedge replica (cumulative)")
+        ->set(static_cast<double>(counters.hedge_wins));
+    registry
+        .gauge("prose_client_failovers",
+               "Requests rerouted off a dead or draining shard "
+               "(cumulative)")
+        ->set(static_cast<double>(counters.failovers));
+    registry
+        .gauge("prose_client_shards_lost",
+               "Fleet shards declared dead mid-campaign (cumulative)")
+        ->set(static_cast<double>(counters.shards_lost));
+    registry
+        .gauge("prose_client_busy_backoff_seconds",
+               "Total deterministic busy backoff slept (cumulative)")
+        ->set(counters.busy_backoff_seconds);
   }
-  if (registry != nullptr) {
-    result.summary.metrics = registry->snapshot();
-    if (journal != nullptr && options.metrics_footer) {
-      // Strictly after every variant/batch/diag record, mirroring the diag
-      // discipline: a footer-less journal is a byte-identical prefix.
-      journal->append_metrics(result.summary.metrics);
-    }
+  result.summary.metrics = registry.snapshot();
+  if (journal != nullptr && options.metrics_footer) {
+    // Strictly after every variant/batch/diag record, mirroring the diag
+    // discipline: a footer-less journal is a byte-identical prefix.
+    journal->append_metrics(result.summary.metrics);
   }
   if (journal != nullptr && !journal->error().is_ok()) {
     result.summary.journal_error = journal->error().to_string();

@@ -75,13 +75,6 @@ struct CampaignOptions {
   /// a signal handler by the CLI drivers.
   const std::atomic<bool>* stop = nullptr;
 
-  /// Observability registry. On by default: collection is a handful of
-  /// relaxed atomics per variant, and — hard contract, same as tracing —
-  /// wall-clock time feeds metric *values* only, never scheduling or
-  /// simulated time, so a metrics-on campaign is bit-identical to a
-  /// metrics-off one, journal bytes included. Off exists for the overhead
-  /// benchmark and for paranoid A/B checks.
-  bool metrics = true;
   /// Opt-in journal metrics footer: append one {"type":"metrics"} record
   /// (counters, gauges, histogram count/sum/quantiles) after every campaign
   /// record. Off by default because the footer carries wall-clock values —
@@ -89,13 +82,6 @@ struct CampaignOptions {
   /// runs and worker counts. Like diag records, load() treats the footer as
   /// informational, so resume is exact either way.
   bool metrics_footer = false;
-
-  /// VM dispatch for variant runs (the --vm-dispatch knob). Switch and
-  /// threaded dispatch produce bit-identical campaigns — summaries,
-  /// journals, blame reports — so this only changes host wall-clock time.
-  /// kAuto = the build's default (direct-threaded where the compiler
-  /// supports it). Shadow diagnosis always runs the shadow switch loop.
-  sim::VmDispatch vm_dispatch = sim::VmDispatch::kAuto;
 
   /// Numerical flight recorder: after the search finishes, re-run the
   /// rejected variants under binary64 shadow execution and aggregate their
@@ -145,8 +131,8 @@ struct CampaignSummary {
   std::uint64_t failovers = 0;
   std::uint64_t shards_lost = 0;
   double busy_backoff_seconds = 0.0;
-  /// Final registry snapshot (empty when CampaignOptions::metrics is off).
-  /// Wall-clock metric values — also excluded from bit-identity comparisons.
+  /// Final registry snapshot. Wall-clock metric values — also excluded from
+  /// bit-identity comparisons.
   obs::MetricsSnapshot metrics;
 };
 
@@ -226,17 +212,10 @@ struct CampaignResult {
   /// Deliberately outside CampaignSummary so diagnosed and undiagnosed runs
   /// compare bit-identical on everything the campaign measured.
   CampaignDiagnosis diagnosis;
-  /// Cumulative VM execution statistics (instructions executed, fused-pair
-  /// dispatches) across the campaign's local variant runs. Host-side
-  /// observability — deliberately outside CampaignSummary: the fused counts
-  /// are zero under fuse=false, while the summary must stay
-  /// fusion-independent.
-  Evaluator::VmExecStats vm_exec;
 };
 
-/// Parses a --vm-dispatch value ("auto", "switch", "threaded"). Returns
-/// false on anything else.
-bool vm_dispatch_from_string(std::string_view s, sim::VmDispatch* out);
+/// "auto", "switch" or "threaded". perfbench's bench-meta line prints the
+/// build's engine with it.
 const char* to_string(sim::VmDispatch dispatch);
 
 /// Runs one campaign on a target spec.

@@ -100,11 +100,9 @@ Evaluator::Evaluator(const TargetSpec& spec, std::uint64_t noise_seed)
 
 StatusOr<std::unique_ptr<Evaluator>> Evaluator::create(const TargetSpec& spec,
                                                        std::uint64_t noise_seed,
-                                                       trace::Tracer* tracer,
-                                                       sim::VmDispatch dispatch) {
+                                                       trace::Tracer* tracer) {
   std::unique_ptr<Evaluator> ev(new Evaluator(spec, noise_seed));
   ev->tracer_ = tracer;  // before init() so the baseline run is traced too
-  ev->vm_dispatch_ = dispatch;  // before init() so the baseline uses it too
   if (Status s = ev->init(); !s.is_ok()) return s;
   return ev;
 }
@@ -189,6 +187,16 @@ void Evaluator::set_metrics(obs::Registry* registry) {
   m_.backend_fallbacks = registry->counter(
       "prose_eval_backend_fallback_items_total",
       "Variants computed locally after a remote-backend transport failure");
+  // The baseline run precedes set_metrics, so these never count it.
+  m_.vm_runs = registry->counter(
+      "prose_vm_runs_total",
+      "VM executions of variant attempts (not the baseline)");
+  m_.vm_instructions = registry->counter(
+      "prose_vm_instructions_total",
+      "VM instructions executed by variant attempts (not the baseline)");
+  m_.vm_fused_pairs = registry->counter(
+      "prose_vm_fused_pairs_total",
+      "Superinstruction dispatches by variant attempts (not the baseline)");
 }
 
 void Evaluator::note_lookup_locked(bool hit) {
@@ -757,7 +765,6 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   // Execute the representative workload.
   sim::VmOptions vopts;
   if (!is_baseline && cycle_budget_ > 0.0) vopts.cycle_budget = cycle_budget_;
-  vopts.dispatch = vm_dispatch_;
   // Reuse the pre-decoded stream across attempts of the same variant
   // (decode-once amortization; compile is deterministic).
   vopts.decoded = decoded_for(config.key(), compiled.value());
@@ -784,12 +791,10 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
     // GPTL → trace bridge: hotspot region stats as counter tracks.
     gptl::export_region_counters(*tr, vm.timers(), track, tr->now_us());
   }
-  {
-    std::lock_guard<std::mutex> lock(vm_stats_mu_);
-    vm_stats_.runs += 1;
-    vm_stats_.instructions += run.instructions;
-    vm_stats_.fused_pairs += run.fused.pairs();
-    vm_stats_.fused_covered += run.fused.covered();
+  if (m_.vm_runs != nullptr) {
+    m_.vm_runs->inc();
+    m_.vm_instructions->inc(run.instructions);
+    m_.vm_fused_pairs->inc(run.fused.pairs());
   }
   out.whole_cycles = run.cycles;
   out.cast_cycles = run.cast_cycles;
@@ -891,11 +896,6 @@ std::shared_ptr<const sim::DecodedProgram> Evaluator::decoded_for(
   if (decoded_cache_.size() >= 512) decoded_cache_.clear();
   auto [it, inserted] = decoded_cache_.emplace(key, std::move(decoded).value());
   return it->second;
-}
-
-Evaluator::VmExecStats Evaluator::vm_exec_stats() const {
-  std::lock_guard<std::mutex> lock(vm_stats_mu_);
-  return vm_stats_;
 }
 
 StatusOr<BlameReport> Evaluator::diagnose(const Config& config) {

@@ -196,12 +196,9 @@ class Evaluator {
   /// `tracer` (optional, non-owning, must outlive the evaluator) records one
   /// span per variant lifecycle — transform → compile → execute → measure —
   /// plus per-run VM op-mix counters and GPTL region counters.
-  /// `dispatch` selects the VM execution engine for every run this
-  /// evaluator performs, the baseline included (see set_vm_dispatch).
   static StatusOr<std::unique_ptr<Evaluator>> create(
       const TargetSpec& spec, std::uint64_t noise_seed = 2024,
-      trace::Tracer* tracer = nullptr,
-      sim::VmDispatch dispatch = sim::VmDispatch::kAuto);
+      trace::Tracer* tracer = nullptr);
 
   /// Attach or detach the flight recorder after construction.
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
@@ -222,32 +219,19 @@ class Evaluator {
 
   /// Attach an observability registry (non-owning; null detaches): registers
   /// per-phase latency histograms, cache hit/miss, retry/quarantine/fault,
-  /// and backend-fallback counters, and bumps them on the evaluation paths.
+  /// backend-fallback and VM run/instruction/fused-pair counters, and bumps
+  /// them on the evaluation paths.
   /// Pure telemetry under the tracing contract: wall-clock feeds metric
   /// *values* only, never scheduling or simulated time, so an instrumented
   /// campaign is bit-identical to an uninstrumented one.
   void set_metrics(obs::Registry* registry);
 
-  /// Selects the VM dispatch for variant runs (default kAuto — the
-  /// build-configured default, normally direct-threaded). Switch and
-  /// threaded dispatch are bit-identical in outcomes, metrics, and
-  /// accounting (the goldens in tests/golden/ pin this), so this is purely a
-  /// host-speed knob. diagnose() is unaffected: shadow execution always runs
-  /// the shadow switch loop. Set before evaluating; not synchronized against
-  /// in-flight evaluations.
-  void set_vm_dispatch(sim::VmDispatch dispatch) { vm_dispatch_ = dispatch; }
-  [[nodiscard]] sim::VmDispatch vm_dispatch() const { return vm_dispatch_; }
-
-  /// Cumulative VM execution statistics across every attempt this evaluator
-  /// ran locally (baseline included; remote/backend evaluations excluded).
-  /// Observability for the bench fusion hit-rate and campaign reports.
-  struct VmExecStats {
-    std::uint64_t runs = 0;           // VM executions (attempts, not variants)
-    std::uint64_t instructions = 0;   // executed VM instructions
-    std::uint64_t fused_pairs = 0;    // superinstruction dispatches
-    std::uint64_t fused_covered = 0;  // instructions covered by fused pairs
-  };
-  [[nodiscard]] VmExecStats vm_exec_stats() const;
+  /// Every run uses the engine the build picked (VmDispatch::kAuto).
+  /// perfbench's replay_one reads this; it goes with that replay (ROADMAP
+  /// item 4).
+  [[nodiscard]] sim::VmDispatch vm_dispatch() const {
+    return sim::VmDispatch::kAuto;
+  }
 
   /// Attach a remote-evaluation backend (non-owning; null detaches). Cache
   /// misses are offloaded through it instead of simulated in-process; any
@@ -402,17 +386,14 @@ class Evaluator {
   std::optional<ftn::ReductionStats> reduction_stats_;
   trace::Tracer* tracer_ = nullptr;  // non-owning flight recorder; may be null
 
-  sim::VmDispatch vm_dispatch_ = sim::VmDispatch::kAuto;
   /// Per-variant decoded-stream cache (decode once, reuse across retry
-  /// attempts and dispatch-engine runs of the same key). Compilation is
+  /// attempts of the same key). Compilation is
   /// deterministic, so a stream decoded on attempt 1 is valid for every
   /// recompile of the same configuration. Bounded: cleared when full.
   mutable std::mutex decoded_mu_;
   std::unordered_map<std::string, std::shared_ptr<const sim::DecodedProgram>,
                      KeyHash>
       decoded_cache_;
-  mutable std::mutex vm_stats_mu_;
-  VmExecStats vm_stats_;
 
   /// Observability instruments (registered by set_metrics; null = off).
   /// Grouped so the hot paths test one pointer per family.
@@ -429,6 +410,9 @@ class Evaluator {
     obs::Counter* quarantined = nullptr;
     obs::Counter* faults = nullptr;
     obs::Counter* backend_fallbacks = nullptr;
+    obs::Counter* vm_runs = nullptr;
+    obs::Counter* vm_instructions = nullptr;
+    obs::Counter* vm_fused_pairs = nullptr;
   };
 
   const FaultPlan* fault_plan_ = nullptr;  // non-owning; may be null

@@ -1,8 +1,10 @@
-// Checked-in VM goldens (tests/golden/vm_goldens.txt): the oracle for VM
-// semantics. Every engine must reproduce these lines exactly, so an engine
-// change that moves an outcome, a simulated cycle, an op-mix count, a print,
-// or a shadow-diagnosis result fails here even when all engines agree with
-// each other.
+// Checked-in goldens, read from the file each test binary names in
+// PROSE_GOLDEN_FILE: tests/golden/vm_goldens.txt, the oracle for VM
+// semantics, and tests/golden/search_goldens.txt, the serial search results
+// every worker count must reproduce. Every engine must reproduce the VM
+// lines exactly, so an engine change that moves an outcome, a simulated
+// cycle, an op-mix count, a print, or a shadow-diagnosis result fails here
+// even when all engines agree with each other.
 //
 // One line per case: "<id> <field>=<value> ...". A test renders the line for
 // an id from a fresh run and compares it with the file's line of the same id;
@@ -22,6 +24,7 @@
 #include "sim/vm.h"
 #include "support/status.h"
 #include "support/strings.h"
+#include "tuner/search.h"
 
 namespace prose::testing {
 
@@ -105,6 +108,41 @@ inline std::string run_line(const std::string& id, const sim::RunResult& r,
   s += " sloops=" + std::to_string(m.scalar_loop_entries);
   s += " print=" + hex64(fnv1a64(print_log));
   return s;
+}
+
+/// Golden line of a delta-debugging search: every SearchResult field the
+/// bit-identity suites compare (attempts and lost excepted), doubles as bit
+/// patterns, with the records folded into one FNV-1a hash of their rendering.
+inline std::string search_line(const std::string& id,
+                               const tuner::SearchResult& r) {
+  std::string records;
+  for (const tuner::VariantRecord& rec : r.records) {
+    const tuner::Evaluation& e = rec.eval;
+    records += std::to_string(rec.id) + " " + rec.config.key() + " " +
+               tuner::to_string(e.outcome) + " " +
+               std::to_string(e.detail.size()) + ":" + e.detail + " " +
+               bits(e.metric) + " " + bits(e.error) +
+               " " + bits(e.hotspot_cycles) + " " + bits(e.whole_cycles) + " " +
+               bits(e.cast_cycles) + " " + bits(e.measured_cycles) + " " +
+               bits(e.speedup) + " " + bits(e.fraction32) + " " +
+               std::to_string(e.wrappers) + " " + bits(e.node_seconds);
+    for (const auto& [proc, mean] : e.proc_mean_cycles) {
+      records += " mean:" + proc + "=" + bits(mean);
+    }
+    for (const auto& [proc, calls] : e.proc_calls) {
+      records += " calls:" + proc + "=" + std::to_string(calls);
+    }
+    records += '\n';
+  }
+  return id + " records=" + std::to_string(r.records.size()) +
+         " hash=" + hex64(fnv1a64(records)) +
+         " best=" + (r.best.has_value() ? r.best->key() : "none") +
+         " best_speedup=" + bits(r.best_speedup) +
+         " accepted=" + r.accepted.key() +
+         " one_minimal=" + (r.one_minimal ? "1" : "0") +
+         " budget_exhausted=" + (r.budget_exhausted ? "1" : "0") +
+         " cache_hits=" + std::to_string(r.cache_hits) +
+         " statically_skipped=" + std::to_string(r.statically_skipped);
 }
 
 }  // namespace prose::testing

@@ -162,17 +162,5 @@ TEST(Gptl, AllStatsSortedByInclusiveTime) {
   EXPECT_EQ(all[0].name, "big");
 }
 
-TEST(Gptl, ScopedRegionClosesOnDestruction) {
-  SimClock clock;
-  Timers t(&clock, no_overhead());
-  {
-    ScopedRegion r(t, "scoped");
-    t.charge(5.0);
-    EXPECT_EQ(t.depth(), 1u);
-  }
-  EXPECT_EQ(t.depth(), 0u);
-  EXPECT_EQ(t.stats("scoped")->calls, 1u);
-}
-
 }  // namespace
 }  // namespace prose::gptl

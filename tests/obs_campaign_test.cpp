@@ -1,9 +1,9 @@
-// Campaign-level observability contract: a metrics-enabled campaign is
-// bit-identical to a metrics-off one — summary, search records, and journal
-// bytes — at any worker count; the registry actually counts what the
-// evaluator and the sinks did; sink write degradation (/dev/full) shows up
-// in the obs error counters, not only in the sticky post-hoc errors; and
-// the opt-in journal metrics footer appends without disturbing resume.
+// Campaign-level observability contract: an instrumented campaign is
+// bit-identical — summary, final report, and journal bytes — at any worker
+// count; the registry actually counts what the evaluator, the VM and the
+// sinks did; sink write degradation (/dev/full) shows up in the obs error
+// counters, not only in the sticky post-hoc errors; and the opt-in journal
+// metrics footer appends without disturbing resume.
 #include <sys/resource.h>
 
 #include <csignal>
@@ -50,9 +50,10 @@ void expect_same_summary(const CampaignSummary& a, const CampaignSummary& b) {
   EXPECT_EQ(a.wall_hours, b.wall_hours);
 }
 
-TEST(ObsCampaign, MetricsOnIsBitIdenticalToMetricsOffIncludingJournal) {
-  // funarc on a small cluster, and a capped MPAS-A campaign (40 variants,
-  // 1 h budget) on the default cluster.
+TEST(ObsCampaign, InstrumentedCampaignIsBitIdenticalAcrossWorkerCounts) {
+  // The registry is always on, and at jobs=4 it also instruments the work
+  // pool. funarc on a small cluster, and a capped MPAS-A campaign (40
+  // variants, 1 h budget) on the default cluster.
   CampaignOptions mpas;
   mpas.max_variants = 40;
   mpas.cluster.wall_budget_seconds = 3600.0;
@@ -66,41 +67,25 @@ TEST(ObsCampaign, MetricsOnIsBitIdenticalToMetricsOffIncludingJournal) {
   const std::string dir = ::testing::TempDir();
   for (const auto& input : inputs) {
     SCOPED_TRACE(input.spec.name);
-    struct Run {
-      bool metrics;
-      std::size_t jobs;
-      std::string journal;
-    };
     const std::string stem = dir + "/obs_" + input.spec.name;
-    const Run runs[] = {
-        {true, 1, stem + "_on_j1.jsonl"},
-        {false, 1, stem + "_off_j1.jsonl"},
-        {true, 4, stem + "_on_j4.jsonl"},
-        {false, 4, stem + "_off_j4.jsonl"},
-    };
-    StatusOr<CampaignResult> results[4] = {
-        Status::ok(), Status::ok(), Status::ok(), Status::ok()};
-    for (int i = 0; i < 4; ++i) {
+    const std::size_t jobs[] = {1, 4};
+    std::string journals[2];
+    StatusOr<CampaignResult> results[2] = {Status::ok(), Status::ok()};
+    for (int i = 0; i < 2; ++i) {
       CampaignOptions options = input.base;
-      options.metrics = runs[i].metrics;
-      options.jobs = runs[i].jobs;
-      options.journal_path = runs[i].journal;
+      options.jobs = jobs[i];
+      journals[i] = stem + "_j" + std::to_string(jobs[i]) + ".jsonl";
+      options.journal_path = journals[i];
       results[i] = run_campaign(input.spec, options);
       ASSERT_TRUE(results[i].is_ok()) << results[i].status().to_string();
+      EXPECT_FALSE(results[i]->summary.metrics.series.empty());
     }
-    const std::string reference = slurp(runs[0].journal);
+    const std::string reference = slurp(journals[0]);
     ASSERT_FALSE(reference.empty());
-    const std::string report = final_variant_report(*results[0]);
-    for (int i = 1; i < 4; ++i) {
-      expect_same_summary(results[0]->summary, results[i]->summary);
-      EXPECT_EQ(report, final_variant_report(*results[i]))
-          << "final-variant report differs for run " << i;
-      EXPECT_EQ(reference, slurp(runs[i].journal))
-          << "journal bytes differ for run " << i;
-    }
-    // The metrics-off runs really collected nothing; the metrics-on runs did.
-    EXPECT_TRUE(results[1]->summary.metrics.series.empty());
-    EXPECT_FALSE(results[0]->summary.metrics.series.empty());
+    expect_same_summary(results[0]->summary, results[1]->summary);
+    EXPECT_EQ(final_variant_report(*results[0]),
+              final_variant_report(*results[1]));
+    EXPECT_EQ(reference, slurp(journals[1]));
   }
 }
 
@@ -125,6 +110,17 @@ TEST(ObsCampaign, RegistryCountsEvaluatorAndSinkActivity) {
   const obs::SeriesSnapshot* execute = m.find("prose_eval_execute_seconds");
   ASSERT_NE(execute, nullptr);
   EXPECT_GT(execute->hist.count, 0u);
+
+  // VM: at most one run per attempt (the baseline is not counted), and each
+  // fused pair covers two executed instructions.
+  const double instructions = m.value("prose_vm_instructions_total");
+  const double fused_pairs = m.value("prose_vm_fused_pairs_total");
+  EXPECT_GT(m.value("prose_vm_runs_total"), 0.0);
+  EXPECT_LE(m.value("prose_vm_runs_total"),
+            m.value("prose_eval_attempts_total"));
+  EXPECT_GT(instructions, 0.0);
+  EXPECT_GT(fused_pairs, 0.0);
+  EXPECT_LE(fused_pairs, instructions / 2);
 
   // Journal: one record per evaluated variant, fsync latency histogram to
   // match, no errors.

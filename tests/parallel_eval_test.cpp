@@ -14,12 +14,13 @@
 
 #include "golden.h"
 #include "models/models.h"
-#include "support/strings.h"
 #include "support/thread_pool.h"
 #include "tuner/search.h"
 
 namespace prose::tuner {
 namespace {
+
+using prose::testing::search_line;
 
 SearchResult run_delta_debug(const TargetSpec& spec, std::size_t jobs) {
   auto ev = Evaluator::create(spec);
@@ -72,40 +73,6 @@ void expect_same_result(const SearchResult& serial, const SearchResult& parallel
   EXPECT_EQ(serial.budget_exhausted, parallel.budget_exhausted);
   EXPECT_EQ(serial.cache_hits, parallel.cache_hits);
   EXPECT_EQ(serial.statically_skipped, parallel.statically_skipped);
-}
-
-/// The golden line of a search result: every field expect_same_result
-/// compares, doubles as bit patterns, with the records folded into one
-/// FNV-1a hash of their rendering.
-std::string search_line(const std::string& id, const SearchResult& r) {
-  using prose::testing::bits;
-  std::string records;
-  for (const VariantRecord& rec : r.records) {
-    const Evaluation& e = rec.eval;
-    records += std::to_string(rec.id) + " " + rec.config.key() + " " +
-               to_string(e.outcome) + " " + std::to_string(e.detail.size()) +
-               ":" + e.detail + " " + bits(e.metric) + " " + bits(e.error) +
-               " " + bits(e.hotspot_cycles) + " " + bits(e.whole_cycles) + " " +
-               bits(e.cast_cycles) + " " + bits(e.measured_cycles) + " " +
-               bits(e.speedup) + " " + bits(e.fraction32) + " " +
-               std::to_string(e.wrappers) + " " + bits(e.node_seconds);
-    for (const auto& [proc, mean] : e.proc_mean_cycles) {
-      records += " mean:" + proc + "=" + bits(mean);
-    }
-    for (const auto& [proc, calls] : e.proc_calls) {
-      records += " calls:" + proc + "=" + std::to_string(calls);
-    }
-    records += '\n';
-  }
-  return id + " records=" + std::to_string(r.records.size()) +
-         " hash=" + prose::testing::hex64(fnv1a64(records)) +
-         " best=" + (r.best.has_value() ? r.best->key() : "none") +
-         " best_speedup=" + bits(r.best_speedup) +
-         " accepted=" + r.accepted.key() +
-         " one_minimal=" + (r.one_minimal ? "1" : "0") +
-         " budget_exhausted=" + (r.budget_exhausted ? "1" : "0") +
-         " cache_hits=" + std::to_string(r.cache_hits) +
-         " statically_skipped=" + std::to_string(r.statically_skipped);
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<std::size_t> {};
