@@ -227,85 +227,9 @@ void Evaluator::emit_cache_hit_instant(const Config& config, const Evaluation& e
 }
 
 const Evaluation& Evaluator::evaluate(const Config& config, bool* cache_hit) {
-  const std::string key = config.key();
-  while (true) {
-    CacheEntry* entry = nullptr;
-    std::uint64_t stream = 0;
-    {
-      std::unique_lock lock(cache_mu_);
-      auto [it, inserted] = cache_.try_emplace(key);
-      entry = &it->second;
-      note_lookup_locked(/*hit=*/!inserted);
-      if (!inserted) {
-        // Single-flight: if another thread is computing this key, wait for it
-        // rather than evaluating twice. The computing thread may *throw* (an
-        // injected abort, say) and erase the entry — so the predicate
-        // re-finds the key, and a vanished entry means "retry from scratch"
-        // instead of wedging on a condition that will never come true.
-        cache_cv_.wait(lock, [this, &key] {
-          const auto f = cache_.find(key);
-          return f == cache_.end() || f->second.ready;
-        });
-        const auto f = cache_.find(key);
-        if (f == cache_.end()) continue;  // computing thread aborted; recompute
-        if (cache_hit != nullptr) *cache_hit = true;
-        entry = &f->second;
-        lock.unlock();
-        emit_cache_hit_instant(config, entry->eval);
-        return entry->eval;
-      }
-      stream = next_stream_++;
-      if (try_replay_locked(key, stream, entry)) {
-        // Resume: the journal already has this evaluation. It counts as a
-        // cache miss (exactly as in the original run) but costs nothing.
-        if (cache_hit != nullptr) *cache_hit = false;
-        lock.unlock();
-        cache_cv_.notify_all();
-        return entry->eval;
-      }
-    }
-    if (cache_hit != nullptr) *cache_hit = false;
-    Evaluation eval;
-    try {
-      eval = compute_variant(config, stream, trace::Track::evaluator());
-    } catch (...) {
-      // Exception safety: drop the in-flight entry so waiters recompute
-      // instead of blocking forever on `ready`.
-      {
-        std::lock_guard lock(cache_mu_);
-        cache_.erase(key);
-      }
-      cache_cv_.notify_all();
-      throw;
-    }
-    // Write-ahead: the evaluation is durable before the search sees it.
-    if (journal_ != nullptr) journal_->append_variant(key, stream, eval);
-    {
-      std::lock_guard lock(cache_mu_);
-      entry->eval = std::move(eval);
-      entry->ready = true;
-    }
-    cache_cv_.notify_all();
-    return entry->eval;
-  }
-}
-
-Evaluation Evaluator::compute_variant(const Config& config, std::uint64_t stream,
-                                      trace::Track track) {
-  if (backend_ != nullptr) {
-    const Config cfgs[1] = {config};
-    const std::uint64_t streams[1] = {stream};
-    auto items = backend_->evaluate_many(cfgs, streams);
-    if (items.size() == 1) {
-      if (items[0].ok) return std::move(items[0].eval);
-      if (items[0].aborted) throw std::runtime_error(items[0].error);
-      warn_backend_fallback(items[0].error);
-    } else {
-      warn_backend_fallback("reply count mismatch");
-    }
-    if (m_.backend_fallbacks != nullptr) m_.backend_fallbacks->inc();
-  }
-  return run_variant(config, /*is_baseline=*/false, stream, track);
+  const BatchItem item = evaluate_batch(std::span<const Config>(&config, 1))[0];
+  if (cache_hit != nullptr) *cache_hit = item.cache_hit;
+  return *item.eval;
 }
 
 void Evaluator::warn_backend_fallback(const std::string& why) {
@@ -318,17 +242,6 @@ void Evaluator::warn_backend_fallback(const std::string& why) {
 std::vector<Evaluator::BatchItem> Evaluator::evaluate_batch(
     std::span<const Config> configs, ThreadPool* pool) {
   std::vector<BatchItem> out(configs.size());
-  if (backend_ == nullptr && (pool == nullptr || pool->size() <= 1)) {
-    // Serial fallback — the reference semantics the parallel path must match.
-    // (With a backend attached the planned path runs even without a pool:
-    // the *server* parallelizes, and the requests pipeline over one socket.)
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-      bool hit = false;
-      out[i].eval = &evaluate(configs[i], &hit);
-      out[i].cache_hit = hit;
-    }
-    return out;
-  }
 
   struct Job {
     Config config;
@@ -347,9 +260,9 @@ std::vector<Evaluator::BatchItem> Evaluator::evaluate_batch(
   bool replayed_any = false;
 
   // Plan the batch under the cache lock, walking proposals in order: this
-  // assigns noise streams to first occurrences of uncached keys in exactly
-  // the order the serial path would have, and claims their cache entries so
-  // concurrent callers single-flight against this batch.
+  // assigns noise streams to first occurrences of uncached keys in proposal
+  // order, and claims their cache entries so concurrent callers
+  // single-flight against this batch.
   {
     std::unique_lock lock(cache_mu_);
     std::unordered_map<std::string, std::size_t, KeyHash> claimed;  // key → job
@@ -501,16 +414,15 @@ std::vector<Evaluator::BatchItem> Evaluator::evaluate_batch(
     throw std::runtime_error(abort_message);
   }
 
-  // Write-ahead in proposal order — the same order the serial path journals
-  // in, and independent of worker interleaving, so the journal file is
-  // byte-identical across worker counts.
+  // Write-ahead in proposal order, independent of worker interleaving, so
+  // the journal file is byte-identical across worker counts.
   if (journal_ != nullptr) {
     for (const Job& job : jobs) {
       journal_->append_variant(job.key, job.stream, job.result);
     }
   }
 
-  // Publish results; waiters blocked in evaluate() wake here.
+  // Publish results; callers waiting on these in-flight entries wake here.
   {
     std::lock_guard lock(cache_mu_);
     for (Job& job : jobs) {
@@ -544,7 +456,7 @@ std::vector<Evaluator::BatchItem> Evaluator::evaluate_batch(
     }
   }
 
-  // Cache-hit instants mirror the serial path's per-hit trace events.
+  // One cache-hit instant per hit, in proposal order.
   if (tracer_ != nullptr && tracer_->enabled()) {
     for (std::size_t i = 0; i < configs.size(); ++i) {
       if (out[i].cache_hit) emit_cache_hit_instant(configs[i], *out[i].eval);
@@ -621,8 +533,8 @@ Evaluation Evaluator::run_variant(const Config& config, bool is_baseline,
     }
     if (fault.abort) {
       // Host-level crash simulation: the evaluator process dies. Thrown out
-      // of the single-flight cache — evaluate()/evaluate_batch() must erase
-      // the in-flight entry on the way out (regression-tested).
+      // of the single-flight cache — evaluate_batch() must erase the
+      // in-flight entry on the way out (regression-tested).
       if (tr != nullptr) {
         tr->instant("fault/abort", track, tr->now_us(),
                     {{"config", config_hash(config)}, {"attempt", attempt}});
@@ -866,9 +778,8 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   out.outcome = out.error <= spec_.error_threshold ? Outcome::kPass : Outcome::kFail;
 
   // Eq. (1) speedup with injected run-to-run noise (§III-E). The stream was
-  // preassigned in proposal order (serial: at the cache miss; batch: during
-  // planning), so the draw is independent of evaluation order and worker
-  // interleaving.
+  // preassigned in proposal order when evaluate_batch planned the batch, so
+  // the draw is independent of evaluation order and worker interleaving.
   const auto samples = sample_noisy_times(out.measured_cycles, spec_.noise_rsd,
                                           eq1_n_, noise_seed_, stream_id);
   out.speedup = eq1_speedup(baseline_samples_, samples);

@@ -5,13 +5,14 @@
 // Evaluation is batch-parallel: the searches propose whole rounds of
 // independent variants, and evaluate_batch() fans them out to a ThreadPool
 // the way the paper fanned variants out one-per-node across 20 Derecho nodes
-// (§IV-A). Parallel evaluation is bit-identical to the serial path:
+// (§IV-A). evaluate_batch() is the one memo path — evaluate() is a batch of
+// one — and its results are bit-identical for every worker count:
 //
 //   * the memo cache is thread-safe with single-flight per config key — a
 //     key is computed exactly once no matter how many callers race on it;
 //   * noise streams are preassigned in proposal order during batch planning
-//     (first occurrence of each uncached key claims the next stream), which
-//     is exactly the order the serial path would have assigned them;
+//     (first occurrence of each uncached key claims the next stream), so
+//     they do not depend on which worker computes which variant;
 //   * simulated quantities (cycles, node-seconds) are computed per variant
 //     from the VM run, never from host wall time, so ClusterSim accounting
 //     is unaffected by the worker count.
@@ -267,26 +268,30 @@ class Evaluator {
   /// Simulated seconds per cycle (calibrated from baseline_wall_seconds).
   [[nodiscard]] double seconds_per_cycle() const { return seconds_per_cycle_; }
 
-  /// Evaluates a configuration (memoized). `cache_hit` reports reuse.
-  /// Thread-safe: concurrent calls on the same key single-flight — one
-  /// caller computes, the others block until the entry is ready. Returned
-  /// references stay valid for the evaluator's lifetime.
+  /// Evaluates a configuration (memoized): a one-config evaluate_batch with
+  /// no pool. `cache_hit` reports reuse. Thread-safe: concurrent calls on
+  /// the same key single-flight — one caller computes, the others block
+  /// until the entry is ready. Returned references stay valid for the
+  /// evaluator's lifetime.
   const Evaluation& evaluate(const Config& config, bool* cache_hit = nullptr);
 
   /// One proposal's result within a batch.
   struct BatchItem {
     const Evaluation* eval = nullptr;
-    /// True iff a serial walk of the batch would have hit the cache at this
-    /// position: the key was cached before the batch, or appeared earlier in
-    /// the batch.
+    /// True iff the key was cached (or in flight in another caller) before
+    /// the batch, or appeared earlier in the batch.
     bool cache_hit = false;
   };
 
-  /// Evaluates a whole proposal batch, fanning cache misses out to `pool`
-  /// (null or single-worker pool → serial evaluation, same code path as
-  /// evaluate()). Results — outcomes, speedups, noise streams, cache-hit
-  /// flags — are bit-identical to calling evaluate() on each config in
-  /// order. Duplicate keys inside the batch are evaluated once.
+  /// Evaluates a whole proposal batch: plans it under the cache lock
+  /// (cache hits, single-flight claims, journal replay, proposal-order noise
+  /// streams), offloads the misses through the backend when one is
+  /// attached, computes the rest on `pool` (null or single-worker pool →
+  /// in order on the calling thread), journals them in proposal order and
+  /// publishes them. Results — outcomes, speedups, noise streams, cache-hit
+  /// flags — are bit-identical for every pool size and to calling
+  /// evaluate() on each config in order. Duplicate keys inside the batch
+  /// are evaluated once.
   std::vector<BatchItem> evaluate_batch(std::span<const Config> configs,
                                         ThreadPool* pool = nullptr);
 
@@ -349,11 +354,6 @@ class Evaluator {
   /// cache_mu_ held.
   bool try_replay_locked(const std::string& key, std::uint64_t stream,
                          CacheEntry* entry);
-  /// One cache miss's computation: offloads through backend_ when attached
-  /// (transport failure → local fallback; remote abort → throws the
-  /// forwarded exception), run_variant otherwise.
-  Evaluation compute_variant(const Config& config, std::uint64_t stream,
-                             trace::Track track);
   /// Once-per-evaluator stderr note that the backend degraded to local.
   void warn_backend_fallback(const std::string& why);
   /// Decoded instruction stream for this variant's compiled program, from
