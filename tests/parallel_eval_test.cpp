@@ -9,11 +9,15 @@
 // reproduces the serial result without re-running it in each test process.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "golden.h"
 #include "models/models.h"
+#include "obs/metrics.h"
 #include "support/thread_pool.h"
 #include "tuner/search.h"
 
@@ -104,8 +108,8 @@ INSTANTIATE_TEST_SUITE_P(Jobs, ParallelDeterminism,
                          });
 
 TEST(ParallelDeterminism, SingleWorkerPoolMatchesSerialFallback) {
-  // A pool of one worker takes the serial fast path inside evaluate_batch;
-  // results must still match.
+  // A pool of one worker computes the batch in order on the calling thread,
+  // like no pool at all; results must still match.
   auto ev = Evaluator::create(models::funarc_target());
   ASSERT_TRUE(ev.is_ok()) << ev.status().to_string();
   ThreadPool pool(1);
@@ -136,6 +140,89 @@ TEST(ParallelDeterminism, VariantCapBitIdenticalUnderParallelism) {
     serial_opts.max_variants = 5;
     expect_same_result(delta_debug_search(**ev_serial, serial_opts), result);
   }
+}
+
+/// Holds the batch of whichever caller plans first until the registry has
+/// counted `target` cache lookups — i.e. until the other caller has planned
+/// its batch against the same, still in-flight keys — then reports a
+/// transport failure for every item, so the holder computes them locally.
+/// This makes the cross-caller single-flight wait happen every run instead
+/// of depending on thread timing.
+class HoldUntilLookups : public EvalBackend {
+ public:
+  HoldUntilLookups(const obs::Counter* lookups, std::uint64_t target)
+      : lookups_(lookups), target_(target) {}
+  std::vector<RemoteItem> evaluate_many(
+      std::span<const Config> configs,
+      std::span<const std::uint64_t> /*streams*/) override {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (lookups_->value() < target_ &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return std::vector<RemoteItem>(configs.size());
+  }
+
+ private:
+  const obs::Counter* lookups_;
+  std::uint64_t target_;
+};
+
+TEST(ParallelDeterminism, ConcurrentCallersSingleFlightEachKey) {
+  // Two threads evaluate the same six keys at once, one in proposal order
+  // on a pool, the other reversed with no pool. Whichever plans second finds
+  // every key in flight and must wait for the first: each key is computed
+  // exactly once, and both callers see the same, finished evaluation.
+  auto created = Evaluator::create(models::funarc_target());
+  ASSERT_TRUE(created.is_ok()) << created.status().to_string();
+  Evaluator& ev = **created;
+  obs::Registry registry;
+  ev.set_metrics(&registry);
+  HoldUntilLookups backend(
+      registry.counter("prose_eval_cache_lookups_total", "Memo-cache lookups"),
+      12);
+  ev.set_backend(&backend);
+
+  std::vector<Config> forward;
+  for (std::size_t i = 0; i < 6; ++i) {
+    Config c = ev.space().uniform(8);
+    c.kinds[i] = 4;
+    forward.push_back(c);
+  }
+  const std::vector<Config> reversed(forward.rbegin(), forward.rend());
+
+  struct Seen {
+    std::vector<Evaluator::BatchItem> items;
+    std::vector<Evaluation> copies;  // taken the moment the batch returned
+  };
+  const auto run = [&ev](const std::vector<Config>& configs, ThreadPool* pool,
+                         Seen* seen) {
+    seen->items = ev.evaluate_batch(configs, pool);
+    for (const Evaluator::BatchItem& item : seen->items) {
+      seen->copies.push_back(*item.eval);
+    }
+  };
+  ThreadPool pool(2);
+  Seen a;
+  Seen b;
+  std::thread ta(run, std::cref(forward), &pool, &a);
+  std::thread tb(run, std::cref(reversed), nullptr, &b);
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(ev.unique_evaluations(), 6u);
+  EXPECT_EQ(registry.snapshot().value("prose_eval_attempts_total"), 6.0);
+  ASSERT_EQ(a.items.size(), 6u);
+  ASSERT_EQ(b.items.size(), 6u);
+  int misses = 0;
+  for (std::size_t i = 0; i < 6; ++i) {
+    const std::size_t j = 5 - i;  // b's position of forward[i]
+    EXPECT_EQ(a.items[i].eval, b.items[j].eval) << "key " << i;
+    EXPECT_NE(a.copies[i].whole_cycles, 0.0) << "key " << i;
+    expect_same_eval(a.copies[i], b.copies[j], static_cast<int>(i));
+    misses += (a.items[i].cache_hit ? 0 : 1) + (b.items[j].cache_hit ? 0 : 1);
+  }
+  EXPECT_EQ(misses, 6);
 }
 
 }  // namespace
