@@ -155,6 +155,35 @@ contains
 end module m
 )f";
 
+/// A binary64 value past binary16's range converted at run time
+/// (program.fmt_cast_overflow: the kCastFmt fault).
+inline constexpr const char* kFmtCastOverflowSource = R"f(
+module m
+  real(kind=1510) :: x
+  real(kind=8) :: d
+contains
+  subroutine go()
+    d = 1.0d5
+    x = d
+  end subroutine go
+end module m
+)f";
+
+/// 0/0 in binary16, after a negation and a power of the zero
+/// (program.fmt_nan: the non-finite custom-format result fault).
+inline constexpr const char* kFmtNanSource = R"f(
+module m
+  real(kind=1510) :: x, y, z
+contains
+  subroutine go()
+    x = 0.0
+    y = -x
+    y = y ** 2
+    z = y / x
+  end subroutine go
+end module m
+)f";
+
 /// The handlers no model reaches: kCastInt in all three rounding modes
 /// (int, floor, nint), kPowF32, kCmpNe and kOr left unfused by logical
 /// assignments, and kFusedCmpNeJmp from an `if (a /= b)`.
@@ -240,6 +269,8 @@ inline constexpr GoldenProgram kGoldenPrograms[] = {
     {"program.fmt", kFmtSource},
     {"program.fmt_overflow", kFmtOverflowSource},
     {"program.fmt_copy_overflow", kFmtCopyOverflowSource},
+    {"program.fmt_cast_overflow", kFmtCastOverflowSource},
+    {"program.fmt_nan", kFmtNanSource},
     {"program.allops", kAllOpsSource},
     {"program.logic", kLogicSource},
 };

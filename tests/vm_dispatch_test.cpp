@@ -34,7 +34,9 @@ using prose::testing::expect_golden;
 using prose::testing::hex64;
 using prose::testing::kAllOpsSource;
 using prose::testing::kFaultSource;
+using prose::testing::kFmtCastOverflowSource;
 using prose::testing::kFmtCopyOverflowSource;
+using prose::testing::kFmtNanSource;
 using prose::testing::kFmtOverflowSource;
 using prose::testing::kFmtSource;
 using prose::testing::kLogicSource;
@@ -249,20 +251,27 @@ TEST(VmDispatch, FormatOpsMatchGoldens) {
 }
 
 TEST(VmDispatch, FormatOverflowFaultsMatchGoldens) {
-  // binary16 tops out at 65504: an arithmetic result past it, and an array
-  // copy of a binary64 value past it, are directed-overflow faults.
-  const CompiledProgram arith = compile_src(kFmtOverflowSource);
-  const CompiledProgram copy = compile_src(kFmtCopyOverflowSource);
-  for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
-    const Executed a = run_with(arith, d);
-    EXPECT_EQ(a.run.status.code(), StatusCode::kRuntimeFault);
-    expect_golden_run("program.fmt_overflow", a);
-    const Executed c = run_with(copy, d);
-    EXPECT_EQ(c.run.status.code(), StatusCode::kRuntimeFault);
-    expect_golden_run("program.fmt_copy_overflow", c);
+  // binary16 tops out at 65504: an arithmetic result past it, an array copy
+  // and a run-time conversion of a binary64 value past it are
+  // directed-overflow faults; 0/0 is a non-finite-result fault.
+  const struct {
+    const char* id;
+    const char* source;
+  } cases[] = {
+      {"program.fmt_overflow", kFmtOverflowSource},
+      {"program.fmt_copy_overflow", kFmtCopyOverflowSource},
+      {"program.fmt_cast_overflow", kFmtCastOverflowSource},
+      {"program.fmt_nan", kFmtNanSource},
+  };
+  for (const auto& c : cases) {
+    const CompiledProgram p = compile_src(c.source);
+    for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+      const Executed e = run_with(p, d);
+      EXPECT_EQ(e.run.status.code(), StatusCode::kRuntimeFault) << c.id;
+      expect_golden_run(c.id, e);
+    }
+    expect_golden_shadow(c.id, p);
   }
-  expect_golden_shadow("program.fmt_overflow", arith);
-  expect_golden_shadow("program.fmt_copy_overflow", copy);
 }
 
 TEST(VmDispatch, AllOpsProgramMatchesGoldens) {
@@ -477,9 +486,11 @@ TEST(VmDispatchCampaign, Mpas) {
 }
 
 TEST(VmDispatchCampaign, GoldenJournalHashes) {
-  // The journal bytes of two diagnosed campaigns and one k-level campaign,
-  // pinned as golden hashes: the build's engine must write exactly the
-  // recorded search, evaluations, and shadow-diagnosis provenance.
+  // The journal bytes of a diagnosed funarc campaign and a k-level MPAS-A
+  // campaign, pinned as golden hashes: the build's engine must write exactly
+  // the recorded search, evaluations, and shadow-diagnosis provenance. (The
+  // diagnosed MPAS-A journal is pinned by campaign.mpas.j4.diag in
+  // VmDispatchCampaign.Mpas.)
   struct Case {
     const char* id;
     tuner::TargetSpec spec;
@@ -489,7 +500,6 @@ TEST(VmDispatchCampaign, GoldenJournalHashes) {
   };
   const Case cases[] = {
       {"journal.funarc.j4.diag", models::funarc_target(), 0},
-      {"journal.mpas.cap12.j4.diag", models::mpas_target(), 12},
       {"journal.mpas.klevel.cap12.j4", models::mpas_target(), 12, false,
        "binary16,bfloat16,binary32,binary64"},
   };
