@@ -235,7 +235,7 @@ struct DecodeOptions {
 /// program, but is only meaningful for the exact program it was decoded
 /// from (the engines still read proc/call-site/print metadata from the
 /// program). Immutable after decode — safe to share across threads and Vm
-/// instances, which is how the evaluator's per-variant cache uses it.
+/// instances.
 struct DecodedProgram {
   std::vector<DecodedInstr> code;
   /// One quantizer per custom format the program rounds to, resolved once

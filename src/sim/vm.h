@@ -88,9 +88,10 @@ struct VmOptions {
   /// bit-identical with fusion on or off; off exists for the
   /// fusion-neutrality test and A/B benchmarking.
   bool fuse = true;
-  /// Pre-decoded instruction stream to reuse (must come from decode() of
-  /// this Vm's exact program — the evaluator's per-variant decoded cache).
-  /// Null = decode lazily on the first call().
+  /// Pre-decoded instruction stream (must come from decode() of this Vm's
+  /// exact program). The evaluator decodes each variant in its own timed
+  /// stage and passes the stream here. Null = decode lazily on the first
+  /// call().
   std::shared_ptr<const DecodedProgram> decoded;
 };
 

@@ -165,6 +165,10 @@ void Evaluator::set_metrics(obs::Registry* registry) {
                              "Variant transform (clone+retype+wrap) latency");
   m_.compile_seconds =
       lat("prose_eval_compile_seconds", "Variant compile latency");
+  m_.decode_seconds =
+      lat("prose_eval_decode_seconds", "Variant bytecode decode latency");
+  m_.vm_init_seconds = lat("prose_eval_vm_init_seconds",
+                           "Variant VM construction and spec setup latency");
   m_.execute_seconds =
       lat("prose_eval_execute_seconds", "Variant VM execution latency");
   m_.measure_seconds = lat("prose_eval_measure_seconds",
@@ -674,24 +678,37 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
     return out;
   }
 
-  // Execute the representative workload.
+  // Decode once per evaluation. A failed decode leaves `vopts.decoded` null,
+  // and the Vm then re-decodes and reports the error from call().
   sim::VmOptions vopts;
   if (!is_baseline && cycle_budget_ > 0.0) vopts.cycle_budget = cycle_budget_;
-  // Reuse the pre-decoded stream across attempts of the same variant
-  // (decode-once amortization; compile is deterministic).
-  vopts.decoded = decoded_for(config.key(), compiled.value());
-  sim::Vm vm(&compiled.value(), vopts);
-  if (spec_.setup) {
-    if (Status s = spec_.setup(vm); !s.is_ok()) {
-      out.outcome = Outcome::kCompileError;
-      out.detail = "setup failed: " + s.to_string();
-      return out;
-    }
+  {
+    trace::Span stage(tr, track, "decode", {}, m_.decode_seconds);
+    auto decoded = sim::decode(compiled.value());
+    const bool ok = decoded.is_ok();
+    if (ok) vopts.decoded = std::move(decoded).value();
+    if (tr != nullptr) stage.annotate({{"ok", ok}});
   }
+
+  // Construct the Vm and load the spec's initial state.
+  std::optional<sim::Vm> vm;
+  Status setup = Status::ok();
+  {
+    trace::Span stage(tr, track, "vm_init", {}, m_.vm_init_seconds);
+    vm.emplace(&compiled.value(), vopts);
+    if (spec_.setup) setup = spec_.setup(*vm);
+  }
+  if (!setup.is_ok()) {
+    out.outcome = Outcome::kCompileError;
+    out.detail = "setup failed: " + setup.to_string();
+    return out;
+  }
+
+  // Execute the representative workload.
   sim::RunResult run;
   {
     trace::Span stage(tr, track, "execute", {}, m_.execute_seconds);
-    run = vm.call(spec_.entry);
+    run = vm->call(spec_.entry);
     if (tr != nullptr) {
       stage.annotate({{"ok", run.status.is_ok()},
                       {"cycles", run.cycles},
@@ -701,7 +718,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   if (tr != nullptr) {
     emit_run_counters(*tr, track, run);
     // GPTL → trace bridge: hotspot region stats as counter tracks.
-    gptl::export_region_counters(*tr, vm.timers(), track, tr->now_us());
+    gptl::export_region_counters(*tr, vm->timers(), track, tr->now_us());
   }
   if (m_.vm_runs != nullptr) {
     m_.vm_runs->inc();
@@ -727,14 +744,14 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   // Hotspot CPU time from the instrumented regions.
   double hotspot = 0.0;
   for (const auto& proc : spec_.hotspot_procs) {
-    auto stats = vm.timers().stats(proc);
+    auto stats = vm->timers().stats(proc);
     if (stats.is_ok()) hotspot += stats->inclusive_cycles;
   }
   out.hotspot_cycles = hotspot;
   out.measured_cycles = spec_.measure_whole_model ? run.cycles : hotspot;
 
   for (const auto& proc : spec_.figure6_procs) {
-    const sim::ProcRunStats* stats = vm.proc_stats(proc);
+    const sim::ProcRunStats* stats = vm->proc_stats(proc);
     if (stats != nullptr && stats->calls > 0) {
       out.proc_mean_cycles[proc] = stats->mean_call_cycles();
       out.proc_calls[proc] = stats->calls;
@@ -744,7 +761,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   // Correctness metric (§III-D): scalar metric or diagnostic field series.
   std::vector<double> series;
   if (spec_.series_fn) {
-    auto s = spec_.series_fn(vm);
+    auto s = spec_.series_fn(*vm);
     if (!s.is_ok()) {
       out.outcome = Outcome::kRuntimeError;
       out.detail = "series metric failed: " + s.status().to_string();
@@ -754,7 +771,7 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
     series = std::move(s.value());
     out.metric = series.empty() ? 0.0 : series.back();
   } else {
-    auto metric = spec_.metric ? spec_.metric(vm) : StatusOr<double>(0.0);
+    auto metric = spec_.metric ? spec_.metric(*vm) : StatusOr<double>(0.0);
     if (!metric.is_ok()) {
       out.outcome = Outcome::kRuntimeError;
       out.detail = "metric failed: " + metric.status().to_string();
@@ -786,27 +803,6 @@ Evaluation Evaluator::run_variant_impl(const Config& config, bool is_baseline,
   out.node_seconds =
       build + static_cast<double>(eq1_n_) * run.cycles * seconds_per_cycle_;
   return out;
-}
-
-std::shared_ptr<const sim::DecodedProgram> Evaluator::decoded_for(
-    const std::string& key, const sim::CompiledProgram& compiled) {
-  {
-    std::lock_guard<std::mutex> lock(decoded_mu_);
-    if (const auto it = decoded_cache_.find(key); it != decoded_cache_.end()) {
-      return it->second;
-    }
-  }
-  // Decode outside the lock: streams for distinct keys can be built
-  // concurrently, and a duplicate race just does redundant work (the decoded
-  // stream is deterministic, so either copy is valid).
-  auto decoded = sim::decode(compiled);
-  if (!decoded.is_ok()) return nullptr;  // Vm re-decodes and surfaces the error
-  std::lock_guard<std::mutex> lock(decoded_mu_);
-  // Bounded: a campaign sweep revisits keys heavily, but cap the footprint
-  // the same blunt way a full cache wipe beats LRU bookkeeping here.
-  if (decoded_cache_.size() >= 512) decoded_cache_.clear();
-  auto [it, inserted] = decoded_cache_.emplace(key, std::move(decoded).value());
-  return it->second;
 }
 
 StatusOr<BlameReport> Evaluator::diagnose(const Config& config) {

@@ -195,8 +195,9 @@ class Evaluator {
   /// Parses and resolves the spec's source, builds the search space, and
   /// evaluates the uniform-64 baseline. Fails if the model itself is broken.
   /// `tracer` (optional, non-owning, must outlive the evaluator) records one
-  /// span per variant lifecycle — transform → compile → execute → measure —
-  /// plus per-run VM op-mix counters and GPTL region counters.
+  /// span per variant lifecycle — transform → compile → decode → vm_init →
+  /// execute → measure — plus per-run VM op-mix counters and GPTL region
+  /// counters.
   static StatusOr<std::unique_ptr<Evaluator>> create(
       const TargetSpec& spec, std::uint64_t noise_seed = 2024,
       trace::Tracer* tracer = nullptr);
@@ -342,7 +343,8 @@ class Evaluator {
   /// throw on an injected `abort` fault (host-level crash simulation).
   Evaluation run_variant(const Config& config, bool is_baseline,
                          std::uint64_t stream_id, trace::Track track);
-  /// One traced attempt (transform → compile → execute → measure).
+  /// One traced attempt (transform → compile → decode → vm_init → execute
+  /// → measure).
   Evaluation run_attempt(const Config& config, bool is_baseline,
                          std::uint64_t stream_id, trace::Track track);
   /// run_attempt body; `tr` is null when tracing is disabled (zero-cost path).
@@ -356,11 +358,6 @@ class Evaluator {
                          CacheEntry* entry);
   /// Once-per-evaluator stderr note that the backend degraded to local.
   void warn_backend_fallback(const std::string& why);
-  /// Decoded instruction stream for this variant's compiled program, from
-  /// the per-variant decoded cache (keyed like the memo cache). Null when
-  /// decoding failed — the Vm then surfaces the decode error itself.
-  std::shared_ptr<const sim::DecodedProgram> decoded_for(
-      const std::string& key, const sim::CompiledProgram& compiled);
   /// Counts a lookup and emits the cache/* counters (call with cache_mu_ held).
   void note_lookup_locked(bool hit);
   void emit_cache_hit_instant(const Config& config, const Evaluation& eval);
@@ -386,20 +383,13 @@ class Evaluator {
   std::optional<ftn::ReductionStats> reduction_stats_;
   trace::Tracer* tracer_ = nullptr;  // non-owning flight recorder; may be null
 
-  /// Per-variant decoded-stream cache (decode once, reuse across retry
-  /// attempts of the same key). Compilation is
-  /// deterministic, so a stream decoded on attempt 1 is valid for every
-  /// recompile of the same configuration. Bounded: cleared when full.
-  mutable std::mutex decoded_mu_;
-  std::unordered_map<std::string, std::shared_ptr<const sim::DecodedProgram>,
-                     KeyHash>
-      decoded_cache_;
-
   /// Observability instruments (registered by set_metrics; null = off).
   /// Grouped so the hot paths test one pointer per family.
   struct EvalMetrics {
     obs::Histogram* transform_seconds = nullptr;
     obs::Histogram* compile_seconds = nullptr;
+    obs::Histogram* decode_seconds = nullptr;
+    obs::Histogram* vm_init_seconds = nullptr;
     obs::Histogram* execute_seconds = nullptr;
     obs::Histogram* measure_seconds = nullptr;
     obs::Histogram* variant_seconds = nullptr;

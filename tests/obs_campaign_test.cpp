@@ -110,6 +110,16 @@ TEST(ObsCampaign, RegistryCountsEvaluatorAndSinkActivity) {
   const obs::SeriesSnapshot* execute = m.find("prose_eval_execute_seconds");
   ASSERT_NE(execute, nullptr);
   EXPECT_GT(execute->hist.count, 0u);
+  // Every funarc variant compiles, so each VM run was decoded once and
+  // constructed (with spec setup) once, in its own timed stage.
+  for (const char* stage :
+       {"prose_eval_decode_seconds", "prose_eval_vm_init_seconds"}) {
+    const obs::SeriesSnapshot* hist = m.find(stage);
+    ASSERT_NE(hist, nullptr) << stage;
+    EXPECT_EQ(static_cast<double>(hist->hist.count),
+              m.value("prose_vm_runs_total"))
+        << stage;
+  }
 
   // VM: at most one run per attempt (the baseline is not counted), and each
   // fused pair covers two executed instructions.
