@@ -264,8 +264,11 @@ class Resolver {
       if (decl.type.is_real()) {
         cv.is_real = true;
         cv.real_value = cv.as_real();
-        if (decl.type.kind != 8) {
-          cv.real_value = prec::quantize_kind(decl.type.kind, cv.real_value);
+        // A value that overflows the kind stays unrounded, so sim::compile
+        // can turn each use into the trapping run-time cast a literal gets.
+        const double rounded = prec::quantize_kind(decl.type.kind, cv.real_value);
+        if (std::isfinite(rounded) || !std::isfinite(cv.real_value)) {
+          cv.real_value = rounded;
         }
       }
       sym.const_value = cv;

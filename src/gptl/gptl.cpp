@@ -4,12 +4,18 @@
 
 namespace prose::gptl {
 
+void SimClock::backwards(double cycles) const {
+  detail::check_failed("cycles >= now_", __FILE__, __LINE__,
+                       "set_now(" + std::to_string(cycles) + ") before now() = " +
+                           std::to_string(now_));
+}
+
 Timers::Timers(SimClock* clock, TimerOptions options)
     : clock_(clock), options_(options) {
   PROSE_CHECK(clock_ != nullptr);
 }
 
-std::size_t Timers::intern(const std::string& name) {
+std::size_t Timers::region(const std::string& name) {
   const auto it = index_.find(name);
   if (it != index_.end()) return it->second;
   const std::size_t idx = regions_.size();
@@ -22,27 +28,46 @@ Status Timers::start(const std::string& name) {
   if (name.empty()) {
     return Status(StatusCode::kInvalidArgument, "empty region name");
   }
-  const std::size_t idx = intern(name);
+  return start(region(name));
+}
+
+Status Timers::start(std::size_t region_index) {
+  PROSE_CHECK(region_index < regions_.size());
   // Instrumentation overhead: half charged at start, half at stop.
   const double oh = options_.overhead_cycles_per_pair / 2.0;
   clock_->advance(oh);
-  regions_[idx].overhead_cycles += oh;
-  stack_.push_back(Frame{.region_index = idx, .entry_time = clock_->now()});
+  regions_[region_index].overhead_cycles += oh;
+  stack_.push_back(Frame{.region_index = region_index, .entry_time = clock_->now()});
   return Status::ok();
 }
 
-Status Timers::stop(const std::string& name) {
+Status Timers::nesting_error(const std::string& name) const {
   if (stack_.empty()) {
     return Status(StatusCode::kInvalidArgument,
                   "stop('" + name + "') with no open region");
   }
-  Frame frame = stack_.back();
-  RegionStats& region = regions_[frame.region_index];
-  if (options_.strict_nesting && region.name != name) {
-    return Status(StatusCode::kInvalidArgument,
-                  "stop('" + name + "') but innermost open region is '" +
-                      region.name + "'");
+  return Status(StatusCode::kInvalidArgument,
+                "stop('" + name + "') but innermost open region is '" +
+                    regions_[stack_.back().region_index].name + "'");
+}
+
+Status Timers::stop(const std::string& name) {
+  const auto it = index_.find(name);
+  if (it != index_.end()) return stop(it->second);
+  // Never started: under strict nesting that is a mismatch; otherwise the
+  // innermost region closes, whatever its name.
+  if (stack_.empty() || options_.strict_nesting) return nesting_error(name);
+  return stop(stack_.back().region_index);
+}
+
+Status Timers::stop(std::size_t region_index) {
+  PROSE_CHECK(region_index < regions_.size());
+  if (stack_.empty() ||
+      (options_.strict_nesting && stack_.back().region_index != region_index)) {
+    return nesting_error(regions_[region_index].name);
   }
+  const Frame frame = stack_.back();
+  RegionStats& region = regions_[frame.region_index];
   stack_.pop_back();
 
   const double oh = options_.overhead_cycles_per_pair / 2.0;

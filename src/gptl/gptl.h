@@ -35,13 +35,17 @@ class SimClock {
   /// a register-resident local and publish the exact sum it computed (an
   /// advance(target - now()) round-trip would not be bit-exact).
   void set_now(double cycles) {
-    PROSE_CHECK(cycles >= now_);
+    if (cycles < now_) [[unlikely]] backwards(cycles);
     now_ = cycles;
   }
   [[nodiscard]] double now() const { return now_; }
   void reset() { now_ = 0.0; }
 
  private:
+  /// set_now's failed monotonicity check, out of line so that set_now
+  /// inlines into the engines' hot paths as a compare and a store.
+  [[noreturn]] void backwards(double cycles) const;
+
   double now_ = 0.0;
 };
 
@@ -80,6 +84,13 @@ class Timers {
   /// Closes the innermost region; `name` must match under strict nesting.
   Status stop(const std::string& name);
 
+  /// The index of the region `name`, registering it (with no calls) on first
+  /// use. A caller that opens one region many times looks it up once and
+  /// passes the index to start/stop, which then build no string.
+  std::size_t region(const std::string& name);
+  Status start(std::size_t region_index);
+  Status stop(std::size_t region_index);
+
   /// Charges cycles to the clock and to the innermost open region's
   /// *exclusive* time. Test fixture: gptl_test drives simulated work with
   /// it; the VM publishes its cycles through SimClock::set_now instead.
@@ -110,7 +121,7 @@ class Timers {
     double child_cycles = 0.0;  // cycles attributed to nested regions
   };
 
-  std::size_t intern(const std::string& name);
+  Status nesting_error(const std::string& name) const;
 
   SimClock* clock_;  // non-owning; outlives this registry
   TimerOptions options_;

@@ -86,7 +86,7 @@ class Compiler {
     const ftn::CallGraph cg = ftn::CallGraph::build(rp_);
     out_.vec_report = analyze_vectorization(rp_, cg, machine_);
 
-    collect_globals();
+    if (Status s = collect_globals(); !s.is_ok()) return s;
     register_procs();
     for (const auto& mod : rp_.program.modules) {
       for (const auto& proc : mod.procedures) {
@@ -99,7 +99,7 @@ class Compiler {
  private:
   // ---- program-level tables -------------------------------------------------
 
-  void collect_globals() {
+  Status collect_globals() {
     for (const auto& mod : rp_.program.modules) {
       for (const auto& d : mod.decls) {
         if (d.is_parameter) continue;
@@ -128,10 +128,22 @@ class Compiler {
               meta.init = static_cast<double>(d.init->int_value);
             }
           }
+          // No instruction runs for an initializer, so nothing could trap at
+          // run time: one that overflows its kind is refused here.
+          bool overflow = false;
           if (d.type.is_fp32()) {
-            meta.init = static_cast<double>(static_cast<float>(meta.init));
+            const auto narrowed = static_cast<float>(meta.init);
+            overflow = std::isfinite(meta.init) && !std::isfinite(narrowed);
+            meta.init = static_cast<double>(narrowed);
           } else if (prec::is_custom_kind(d.type.kind)) {
-            meta.init = prec::quantize_kind(d.type.kind, meta.init);
+            meta.init = prec::Quantizer(prec::decode_kind(d.type.kind))
+                            .round(meta.init, overflow);
+          }
+          if (overflow) {
+            return compile_err(
+                "initializer of module variable " + q + " overflows real(" +
+                (d.type.is_fp32() ? std::string("kind=4") : prec::kind_name(d.type.kind)) +
+                ")");
           }
           out_.global_scalar_index[q] = static_cast<std::int32_t>(out_.global_scalars.size());
           global_scalar_of_symbol_[d.symbol] = out_.global_scalar_index[q];
@@ -139,6 +151,7 @@ class Compiler {
         }
       }
     }
+    return Status::ok();
   }
 
   void register_procs() {
@@ -389,12 +402,12 @@ class Compiler {
     const Symbol& sym = rp_.symbols.get(e.symbol);
     if (sym.kind == SymbolKind::kParameterConst) {
       const std::int32_t t = alloc_temp();
-      double v = sym.const_value->as_real();
-      if (sym.type.is_real() && sym.type.kind != 8) {
-        v = prec::quantize_kind(sym.type.kind, v);
-      }
-      emit({.op = Op::kLoadConst, .dst = t, .imm = v});
-      return typed_operand(t, sym.type);
+      emit({.op = Op::kLoadConst, .dst = t, .imm = sym.const_value->as_real()});
+      if (!sym.type.is_real()) return typed_operand(t, sym.type);
+      // A real parameter converts like a binary64 literal: ensure_kind folds
+      // it, unless it overflows its kind; then it is the same trapping
+      // run-time cast as `x = 1.0d40`.
+      return ensure_type(Operand{t, VKind::kF64}, sym.type);
     }
     if (sym.is_array()) {
       return compile_err("whole-array reference in scalar expression position");

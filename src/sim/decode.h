@@ -257,7 +257,8 @@ StatusOr<std::shared_ptr<const DecodedProgram>> decode(
     const CompiledProgram& program, const DecodeOptions& options = {});
 
 /// Handler-address table of the threaded engine (indexed by XOp), or null
-/// when the build has no computed-goto support. Defined in vm_dispatch.cpp.
+/// when the build has no computed-goto support. Defined in
+/// vm_engine_threaded.cpp.
 const void* const* threaded_label_table();
 
 }  // namespace prose::sim

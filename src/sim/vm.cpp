@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
+#include "sim/decode.h"
 #include "sim/vm_shadow.h"
 
 namespace prose::sim {
@@ -11,8 +13,12 @@ namespace prose::sim {
 // ArrayStorage
 // ---------------------------------------------------------------------------
 
-ArrayStorage::ArrayStorage(int kind, int rank, const std::int64_t* extents)
-    : kind_(kind), rank_(rank) {
+ArrayStorage::ArrayStorage(int kind, int rank, const std::int64_t* extents,
+                           const MachineModel& machine)
+    : kind_(kind),
+      rank_(rank),
+      bytes_(machine.bytes_for_kind(kind)),
+      lanes_(machine.lanes_for_kind(kind)) {
   total_ = 1;
   for (int r = 0; r < rank; ++r) {
     PROSE_CHECK_MSG(extents[r] > 0, "array extent must be positive");
@@ -47,6 +53,7 @@ Vm::Vm(const CompiledProgram* program, VmOptions options)
       timers_(&clock_, gptl::TimerOptions{
                            .overhead_cycles_per_pair = program->machine.gptl_overhead_cycles}) {
   PROSE_CHECK(program_ != nullptr);
+  timer_region_.assign(program_->procs.size(), -1);
   shadow_ = options_.shadow;
   if (shadow_) init_shadow_tables();
   reset();
@@ -59,7 +66,7 @@ void Vm::reset() {
   global_arrays_.clear();
   global_arrays_.reserve(program_->global_arrays.size());
   for (const auto& g : program_->global_arrays) {
-    global_arrays_.emplace_back(g.kind, g.rank, g.extents);
+    global_arrays_.emplace_back(g.kind, g.rank, g.extents, program_->machine);
   }
   slots_.clear();
   frames_.clear();
@@ -152,6 +159,78 @@ Status Vm::fault(const std::string& message) const {
   return Status(StatusCode::kRuntimeFault, message + where);
 }
 
+namespace {
+
+/// How a fault message names a real kind: "kind=4", or the format's name.
+std::string real_kind(int kind) {
+  return kind == 4 ? std::string("kind=4") : prec::kind_name(kind);
+}
+
+}  // namespace
+
+void Vm::engine_fault(EngineFault what, int kind, std::int32_t pc, Status& out) {
+  fault_pc_ = pc;
+  out = [&]() -> Status {
+    switch (what) {
+      case EngineFault::kCycleBudget:
+        return Status(StatusCode::kTimeout, "cycle budget exceeded");
+      case EngineFault::kInstructionLimit:
+        return Status(StatusCode::kRuntimeFault, "instruction limit exceeded");
+      case EngineFault::kCastOverflow:
+        return fault("overflow converting to real(" + real_kind(kind) + ")");
+      case EngineFault::kArithOverflow:
+        return fault("overflow in " + prec::kind_name(kind) + " arithmetic");
+      case EngineFault::kNonFiniteResult:
+        return fault("non-finite " +
+                     (kind == 4 ? std::string("f32")
+                                : kind == 8 ? std::string("f64") : prec::kind_name(kind)) +
+                     " result");
+      case EngineFault::kReadOutOfBounds:
+        return fault("array subscript out of bounds (read)");
+      case EngineFault::kWriteOutOfBounds:
+        return fault("array subscript out of bounds (write)");
+      case EngineFault::kStoreNonFinite:
+        return fault("storing non-finite value");
+      case EngineFault::kStoreOverflowArray:
+        return fault("overflow storing to real(" + real_kind(kind) + ") array");
+      case EngineFault::kStoreOverflowGlobal:
+        return fault("overflow storing to real(" + real_kind(kind) + ") module variable");
+      case EngineFault::kIntDivByZero:
+        return fault("integer division by zero");
+      case EngineFault::kNonFiniteIntrinsic:
+        return fault("non-finite intrinsic result");
+      case EngineFault::kCopyShapeMismatch:
+        return fault("array shape mismatch in copy");
+      case EngineFault::kCopyOverflow:
+        return fault("overflow converting array to real(" + real_kind(kind) + ")");
+      case EngineFault::kNonFiniteReduction:
+        return fault("non-finite reduction result");
+      case EngineFault::kBadAutomaticExtent:
+        return fault("non-positive automatic array extent");
+    }
+    return fault("unknown engine fault");
+  }();
+}
+
+void Vm::print(const PrintMeta& meta, const double* slots) {
+  print_log_ += meta.text;
+  char buf[40];
+  for (const auto s : meta.arg_slots) {
+    std::snprintf(buf, sizeof buf, " %.9g", slots[s]);
+    print_log_ += buf;
+  }
+  print_log_ += '\n';
+}
+
+std::size_t Vm::timer_region(std::int32_t proc) {
+  std::int64_t& region = timer_region_[static_cast<std::size_t>(proc)];
+  if (region < 0) {
+    region = static_cast<std::int64_t>(
+        timers_.region(program_->procs[static_cast<std::size_t>(proc)].qualified()));
+  }
+  return static_cast<std::size_t>(region);
+}
+
 void Vm::bind_frame_arrays(Frame& frame, const ProcMeta& meta, const CallSiteMeta* site) {
   frame.arrays.resize(meta.arrays.size(), nullptr);
   for (std::size_t i = 0; i < meta.arrays.size(); ++i) {
@@ -161,7 +240,8 @@ void Vm::bind_frame_arrays(Frame& frame, const ProcMeta& meta, const CallSiteMet
         frame.arrays[i] = &global_arrays_[static_cast<std::size_t>(a.global_index)];
         break;
       case ArrayBinding::kLocal: {
-        frame.owned.push_back(std::make_unique<ArrayStorage>(a.kind, a.rank, a.extents));
+        frame.owned.push_back(
+            std::make_unique<ArrayStorage>(a.kind, a.rank, a.extents, program_->machine));
         frame.arrays[i] = frame.owned.back().get();
         break;
       }
@@ -225,7 +305,7 @@ Status Vm::push_frame(std::int32_t proc_index, std::int32_t site_index,
     }
   }
   if (meta.instrument) {
-    if (Status s = timers_.start(meta.qualified()); !s.is_ok()) return s;
+    if (Status s = timers_.start(timer_region(proc_index)); !s.is_ok()) return s;
   }
   return Status::ok();
 }
@@ -240,7 +320,7 @@ Status Vm::pop_frame(std::int32_t& pc) {
   stats.exclusive_cycles += inclusive - f.child_cycles;
 
   if (meta.instrument) {
-    if (Status s = timers_.stop(meta.qualified()); !s.is_ok()) return s;
+    if (Status s = timers_.stop(timer_region(f.proc)); !s.is_ok()) return s;
   }
 
   // Writebacks and result copy into the caller. Shadow values ride along
@@ -371,7 +451,7 @@ RunResult Vm::call(const std::string& qualified_proc) {
   while (!frames_.empty()) {
     const Frame& f = frames_.back();
     const ProcMeta& m = program_->procs[static_cast<std::size_t>(f.proc)];
-    if (m.instrument) (void)timers_.stop(m.qualified());
+    if (m.instrument) (void)timers_.stop(timer_region(f.proc));
     slots_.resize(f.slot_base);
     frames_.pop_back();
   }
@@ -381,6 +461,42 @@ RunResult Vm::call(const std::string& qualified_proc) {
   result.op_mix = op_mix_;
   result.fused = fused_;
   return result;
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch policy. The engines themselves are vm_engine_{switch,threaded,
+// shadow}.cpp, one expansion of vm_engine.inc each.
+// ---------------------------------------------------------------------------
+
+bool Vm::threaded_available() { return threaded_label_table() != nullptr; }
+
+VmDispatch Vm::default_dispatch() {
+  return threaded_available() ? VmDispatch::kThreaded : VmDispatch::kSwitch;
+}
+
+VmDispatch Vm::resolved_dispatch() const {
+  if (shadow_) return VmDispatch::kSwitch;  // the shadow engine is a switch loop
+  VmDispatch d = options_.dispatch;
+  if (d == VmDispatch::kAuto) d = default_dispatch();
+  if (d == VmDispatch::kThreaded && !threaded_available()) d = VmDispatch::kSwitch;
+  return d;
+}
+
+StatusOr<const DecodedProgram*> Vm::ensure_decoded() {
+  // A shadow Vm hooks every bytecode instruction, so it never runs a
+  // supplied (possibly fused) stream: it decodes its own, unfused.
+  if (options_.decoded != nullptr && !shadow_) return options_.decoded.get();
+  if (!decode_attempted_) {
+    decode_attempted_ = true;
+    auto d = decode(*program_, DecodeOptions{.fuse = options_.fuse && !shadow_});
+    if (d.is_ok()) {
+      decoded_local_ = std::move(d).value();
+    } else {
+      decode_status_ = d.status();
+    }
+  }
+  if (!decode_status_.is_ok()) return decode_status_;
+  return decoded_local_.get();
 }
 
 // ---------------------------------------------------------------------------

@@ -191,9 +191,15 @@ struct ShadowReport {
 /// Dense multi-dimensional array storage (column-major, 1-based like Fortran).
 class ArrayStorage {
  public:
-  ArrayStorage(int kind, int rank, const std::int64_t* extents);
+  /// `machine` resolves the kind's element bytes and vector lanes once, here:
+  /// the array-wide handlers charge them on every execution.
+  ArrayStorage(int kind, int rank, const std::int64_t* extents,
+               const MachineModel& machine);
 
   [[nodiscard]] int kind() const { return kind_; }
+  /// MachineModel::bytes_for_kind and lanes_for_kind of kind().
+  [[nodiscard]] double bytes() const { return bytes_; }
+  [[nodiscard]] int lanes() const { return lanes_; }
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] std::int64_t extent(int dim) const { return extents_[dim]; }
   [[nodiscard]] std::int64_t total() const { return total_; }
@@ -254,6 +260,8 @@ class ArrayStorage {
  private:
   int kind_;
   int rank_;
+  double bytes_;
+  int lanes_;
   bool custom_ = false;            // kind_ is a parameterized format
   prec::Quantizer quant_;          // resolved once; only read when custom_
   std::int64_t extents_[3] = {1, 1, 1};
@@ -265,9 +273,31 @@ class ArrayStorage {
 
 class Vm;
 
-/// Decoded-stream execution engines (vm_dispatch.cpp). Free friend
-/// functions rather than members so the threaded engine can export its
-/// handler-label table without an instance (vm == nullptr, table_out set).
+/// The runtime faults an execution engine raises; Vm::engine_fault turns one
+/// into its Status. `kind` names the format where the message does.
+enum class EngineFault : std::uint8_t {
+  kCycleBudget,          // Timeout "cycle budget exceeded"
+  kInstructionLimit,     // "instruction limit exceeded"
+  kCastOverflow,         // "overflow converting to real(<kind>)"
+  kArithOverflow,        // "overflow in <format> arithmetic"
+  kNonFiniteResult,      // "non-finite <f32|f64|format> result"
+  kReadOutOfBounds,
+  kWriteOutOfBounds,
+  kStoreNonFinite,
+  kStoreOverflowArray,   // "overflow storing to real(<kind>) array"
+  kStoreOverflowGlobal,  // "overflow storing to real(<kind>) module variable"
+  kIntDivByZero,
+  kNonFiniteIntrinsic,
+  kCopyShapeMismatch,
+  kCopyOverflow,         // "overflow converting array to real(<kind>)"
+  kNonFiniteReduction,
+  kBadAutomaticExtent,
+};
+
+/// Decoded-stream execution engines, one translation unit each
+/// (vm_engine_{switch,threaded,shadow}.cpp). Free friend functions rather
+/// than members so the threaded engine can export its handler-label table
+/// without an instance (vm == nullptr, table_out set).
 Status vm_engine_switch(Vm* vm, const DecodedProgram* decoded);
 Status vm_engine_shadow(Vm* vm, const DecodedProgram* decoded);
 Status vm_engine_threaded(Vm* vm, const DecodedProgram* decoded,
@@ -334,6 +364,19 @@ class Vm {
   Status pop_frame(std::int32_t& pc);
 
   [[nodiscard]] Status fault(const std::string& message) const;
+  /// An engine fault at `pc`: records fault_pc_ and builds the Status into
+  /// `out`. The one place an engine builds a message, kept out of the hot
+  /// handlers; `out` is the engine's status, so a fault site destroys no
+  /// temporary.
+#if defined(__GNUC__) || defined(__clang__)
+  [[gnu::cold, gnu::noinline]]
+#endif
+  void engine_fault(EngineFault what, int kind, std::int32_t pc, Status& out);
+  /// kPrint: appends the print's text and argument values to print_log_.
+  void print(const PrintMeta& meta, const double* slots);
+  /// GPTL region index of an instrumented procedure, interned on its first
+  /// entry (so region order is the order of first entry).
+  std::size_t timer_region(std::int32_t proc);
 
   friend Status vm_engine_switch(Vm* vm, const DecodedProgram* decoded);
   friend Status vm_engine_shadow(Vm* vm, const DecodedProgram* decoded);
@@ -371,6 +414,7 @@ class Vm {
   std::vector<double> slots_;
   std::vector<Frame> frames_;
   std::vector<ProcRunStats> proc_stats_;
+  std::vector<std::int64_t> timer_region_;  // per proc; -1 until interned
   std::string print_log_;
   double run_start_cycles_ = 0.0;
   double cast_cycles_ = 0.0;

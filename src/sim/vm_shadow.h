@@ -1,6 +1,6 @@
 // Shadow-precision hooks of the VM_SHADOW expansion of vm_engine.inc.
 // Internal to src/sim: included by vm.cpp (frame push/pop and fault
-// bookkeeping) and vm_dispatch.cpp (the engines).
+// bookkeeping) and vm_engine_shadow.cpp (the shadow engine).
 //
 // Every scalar slot, module scalar, and array element carries a binary64
 // shadow value — "what the all-binary64 run would have computed" — updated
@@ -343,11 +343,10 @@ PROSE_SHADOW_INLINE void Vm::shadow_step(const DecodedInstr& in, const Frame& fr
     }
     if (dst->kind() != src->kind()) {
       // Mirror of the primary cast-cycle charge, attributed to this proc.
-      const MachineModel& mach = program_->machine;
-      const double bytes = mach.bytes_for_kind(dst->kind()) +
-                           mach.bytes_for_kind(src->kind());
-      proc_stats().cast_cycles += static_cast<double>(src->total()) *
-                                  (0.5 + bytes * mach.mem_cost_per_byte * 0.5);
+      const double bytes = dst->bytes() + src->bytes();
+      proc_stats().cast_cycles +=
+          static_cast<double>(src->total()) *
+          (0.5 + bytes * program_->machine.mem_cost_per_byte * 0.5);
     }
   } else if constexpr (kOp == XOp::kReduce) {
     ArrayStorage* arr = ARR(in.aux);

@@ -169,6 +169,33 @@ contains
 end module m
 )f";
 
+/// A binary32 parameter past binary32's range (program.param_overflow): it
+/// is not folded, so `x = big` runs the same trapping kCastF32 as
+/// `x = 1.0d40`.
+inline constexpr const char* kParamOverflowSource = R"f(
+module m
+  real(kind=4), parameter :: big = 1.0d40
+  real(kind=4) :: x
+contains
+  subroutine go()
+    x = big
+  end subroutine go
+end module m
+)f";
+
+/// The same for a binary16 parameter past 65504
+/// (program.fmt_param_overflow: a trapping kCastFmt).
+inline constexpr const char* kFmtParamOverflowSource = R"f(
+module m
+  real(kind=1510), parameter :: big = 1.0d5
+  real(kind=1510) :: x
+contains
+  subroutine go()
+    x = big
+  end subroutine go
+end module m
+)f";
+
 /// 0/0 in binary16, after a negation and a power of the zero
 /// (program.fmt_nan: the non-finite custom-format result fault).
 inline constexpr const char* kFmtNanSource = R"f(
@@ -271,6 +298,8 @@ inline constexpr GoldenProgram kGoldenPrograms[] = {
     {"program.fmt_copy_overflow", kFmtCopyOverflowSource},
     {"program.fmt_cast_overflow", kFmtCastOverflowSource},
     {"program.fmt_nan", kFmtNanSource},
+    {"program.param_overflow", kParamOverflowSource},
+    {"program.fmt_param_overflow", kFmtParamOverflowSource},
     {"program.allops", kAllOpsSource},
     {"program.logic", kLogicSource},
 };

@@ -118,6 +118,50 @@ TEST(Gptl, StrictNestingRejectsOutOfOrderStop) {
   EXPECT_FALSE(t.stop("a").is_ok());
 }
 
+TEST(Gptl, RegionIndexPathMatchesNamedPath) {
+  // region() interns without opening; start/stop by index account exactly
+  // as by name, and strict nesting compares the indices.
+  SimClock by_name_clock;
+  Timers by_name(&by_name_clock);
+  SimClock by_index_clock;
+  Timers by_index(&by_index_clock);
+  const std::size_t outer = by_index.region("outer");
+  const std::size_t inner = by_index.region("inner");
+  EXPECT_EQ(by_index.region("outer"), outer);
+  EXPECT_NE(inner, outer);
+  EXPECT_EQ(by_index.stats("outer")->calls, 0u);  // registered, never run
+  for (int rep = 0; rep < 2; ++rep) {
+    ASSERT_TRUE(by_name.start("outer").is_ok());
+    ASSERT_TRUE(by_index.start(outer).is_ok());
+    by_name.charge(10.0);
+    by_index.charge(10.0);
+    ASSERT_TRUE(by_name.start("inner").is_ok());
+    ASSERT_TRUE(by_index.start(inner).is_ok());
+    by_name.charge(7.0 + rep);
+    by_index.charge(7.0 + rep);
+    const Status wrong = by_index.stop(outer);
+    EXPECT_FALSE(wrong.is_ok());
+    EXPECT_EQ(wrong.message(),
+              "stop('outer') but innermost open region is 'inner'");
+    ASSERT_TRUE(by_name.stop("inner").is_ok());
+    ASSERT_TRUE(by_index.stop(inner).is_ok());
+    ASSERT_TRUE(by_name.stop("outer").is_ok());
+    ASSERT_TRUE(by_index.stop(outer).is_ok());
+  }
+  EXPECT_EQ(by_index.stop(outer).message(), "stop('outer') with no open region");
+  EXPECT_EQ(by_name_clock.now(), by_index_clock.now());
+  for (const char* name : {"outer", "inner"}) {
+    const RegionStats a = by_name.stats(name).value();
+    const RegionStats b = by_index.stats(name).value();
+    EXPECT_EQ(a.calls, b.calls) << name;
+    EXPECT_EQ(a.inclusive_cycles, b.inclusive_cycles) << name;
+    EXPECT_EQ(a.exclusive_cycles, b.exclusive_cycles) << name;
+    EXPECT_EQ(a.min_call_cycles, b.min_call_cycles) << name;
+    EXPECT_EQ(a.max_call_cycles, b.max_call_cycles) << name;
+    EXPECT_EQ(a.overhead_cycles, b.overhead_cycles) << name;
+  }
+}
+
 TEST(Gptl, StopWithoutStartIsAnError) {
   SimClock clock;
   Timers t(&clock);

@@ -661,5 +661,38 @@ end module m
   EXPECT_FALSE(compiled.is_ok());
 }
 
+TEST(Vm, OverflowingModuleInitializerIsRejectedAtCompile) {
+  // No instruction runs for a module variable's initializer, so an overflow
+  // could not trap at run time: compile refuses it, naming the variable and
+  // its kind. An initializer that fits is rounded to the kind as before.
+  const struct {
+    const char* decl;
+    const char* kind;
+  } cases[] = {
+      {"real(kind=4) :: x = 1.0d40", "real(kind=4)"},
+      {"real(kind=1510) :: x = 1.0d5", "real(e5m10)"},
+  };
+  for (const auto& c : cases) {
+    auto rp = must_resolve(std::string("module m\n  ") + c.decl +
+                           "\ncontains\n  subroutine go()\n    x = x\n"
+                           "  end subroutine go\nend module m\n");
+    auto compiled = compile(rp, MachineModel{});
+    ASSERT_FALSE(compiled.is_ok()) << c.decl;
+    EXPECT_EQ(compiled.status().code(), StatusCode::kSemanticError);
+    const std::string& msg = compiled.status().message();
+    EXPECT_NE(msg.find("m::x"), std::string::npos) << msg;
+    EXPECT_NE(msg.find(c.kind), std::string::npos) << msg;
+  }
+  auto h = make(R"f(
+module m
+  real(kind=4) :: x = 1.0d38
+  real(kind=1510) :: h = 6.0001d4
+end module m
+)f");
+  EXPECT_EQ(h.vm->get_scalar("m::x").value(),
+            static_cast<double>(static_cast<float>(1.0e38)));
+  EXPECT_EQ(h.vm->get_scalar("m::h").value(), 60000.0);  // nearest binary16
+}
+
 }  // namespace
 }  // namespace prose::sim

@@ -38,9 +38,11 @@ using prose::testing::kFmtCastOverflowSource;
 using prose::testing::kFmtCopyOverflowSource;
 using prose::testing::kFmtNanSource;
 using prose::testing::kFmtOverflowSource;
+using prose::testing::kFmtParamOverflowSource;
 using prose::testing::kFmtSource;
 using prose::testing::kLogicSource;
 using prose::testing::kMixedSource;
+using prose::testing::kParamOverflowSource;
 using prose::testing::kTimeoutSource;
 using prose::testing::kTrapSource;
 using prose::testing::must_resolve;
@@ -268,6 +270,32 @@ TEST(VmDispatch, FormatOverflowFaultsMatchGoldens) {
     for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
       const Executed e = run_with(p, d);
       EXPECT_EQ(e.run.status.code(), StatusCode::kRuntimeFault) << c.id;
+      expect_golden_run(c.id, e);
+    }
+    expect_golden_shadow(c.id, p);
+  }
+}
+
+TEST(VmDispatch, OverflowingParameterTrapsLikeALiteral) {
+  // A parameter whose value overflows its kind is not folded to +inf: the
+  // assignment converts it at run time, and that cast faults exactly as the
+  // literal's does.
+  const struct {
+    const char* id;
+    const char* source;
+    const char* message;
+  } cases[] = {
+      {"program.param_overflow", kParamOverflowSource,
+       "overflow converting to real(kind=4) in m::go"},
+      {"program.fmt_param_overflow", kFmtParamOverflowSource,
+       "overflow converting to real(e5m10) in m::go"},
+  };
+  for (const auto& c : cases) {
+    const CompiledProgram p = compile_src(c.source);
+    for (const VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+      const Executed e = run_with(p, d);
+      EXPECT_EQ(e.run.status.code(), StatusCode::kRuntimeFault) << c.id;
+      EXPECT_EQ(e.run.status.message(), c.message) << c.id;
       expect_golden_run(c.id, e);
     }
     expect_golden_shadow(c.id, p);
